@@ -144,17 +144,6 @@ class BenchJson {
     int64_t k = 0;
     double cover_speedup = 0.0;  // naive seconds / lazy seconds (0 = n/a)
     cover::CoverStats cover_stats;
-    // Walk-scheduler observability block, emitted only when has_walks is
-    // set (AddWalks). walk_width is the requested width (0 = auto) and is
-    // part of the record key in bench_diff.py; the counters come from
-    // GeneratorStats.
-    bool has_walks = false;
-    int walk_width = 0;
-    uint64_t walks = 0;
-    uint64_t walk_rounds = 0;
-    uint64_t walk_lanes = 0;
-    uint64_t walk_lane_slots = 0;
-    double lane_occupancy = 0.0;
     // Sketch-screen observability block (AddSketch): the screen mode
     // ("auto" / "off") and block span are part of the record key in
     // bench_diff.py; prune rate and the pruned/scanned counters come from
@@ -263,25 +252,6 @@ class BenchJson {
     record.k = k;
     record.cover_speedup = speedup;
     record.cover_stats = stats;
-    records_.push_back(std::move(record));
-  }
-
-  // Like Add, but also captures the walk-scheduler surface of an AB-opt
-  // run: requested width plus the walks/rounds/lane counters and derived
-  // occupancy from GeneratorStats. Used by the --walks_json record mode.
-  void AddWalks(int64_t n, const std::string& algorithm,
-                const std::string& model, int threads, double seconds,
-                int walk_width, const interval::GeneratorStats& stats) {
-    if (!active()) return;
-    Record record = MakeRecord(n, algorithm, model, threads, seconds,
-                               stats.intervals_tested);
-    record.has_walks = true;
-    record.walk_width = walk_width;
-    record.walks = stats.walks;
-    record.walk_rounds = stats.walk_rounds;
-    record.walk_lanes = stats.walk_lanes;
-    record.walk_lane_slots = stats.walk_lane_slots;
-    record.lane_occupancy = stats.LaneOccupancy();
     records_.push_back(std::move(record));
   }
 
@@ -442,20 +412,6 @@ class BenchJson {
           json.Int(static_cast<int64_t>(claimed));
         }
         json.EndArray();
-      }
-      if (record.has_walks) {
-        json.Key("walk_width");
-        json.Int(record.walk_width);
-        json.Key("walks");
-        json.Int(static_cast<int64_t>(record.walks));
-        json.Key("walk_rounds");
-        json.Int(static_cast<int64_t>(record.walk_rounds));
-        json.Key("walk_lanes");
-        json.Int(static_cast<int64_t>(record.walk_lanes));
-        json.Key("walk_lane_slots");
-        json.Int(static_cast<int64_t>(record.walk_lane_slots));
-        json.Key("lane_occupancy");
-        json.Double(record.lane_occupancy);
       }
       if (record.has_sketch) {
         json.Key("sketch");

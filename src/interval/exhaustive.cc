@@ -18,8 +18,7 @@ std::vector<Candidate> ExhaustiveGenerator::GenerateCandidates(
   // provably has no qualifying endpoint, so skipping it emits nothing and
   // contributes nothing to intervals_tested.
   const internal::ScopedSketchScreen scoped(
-      eval, options, internal::SketchScreen::Anchor::kLeft,
-      /*relaxed=*/false);
+      eval, options, /*relaxed=*/false);
   const internal::SketchScreen* screen = scoped.get();
 
   // The dense endpoint sweep [i, n] is the ideal batch-kernel shape:

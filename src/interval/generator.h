@@ -106,27 +106,11 @@ struct GeneratorOptions {
   // spot: fewer re-exposes the skew, many more just pays per-chunk pointer
   // re-base overhead. Values < 1 are clamped to 1.
   int chunks_per_thread = 12;
-  // Concurrently active resumable walks per chunk in the cross-anchor walk
-  // schedulers (interval/walk.h): the AB/AB-opt sparsification sweeps keep
-  // this many anchor walks in flight and gather one probe per walk into
-  // contiguous lane buffers for the batch kernels. 0 = auto (SIMD backend
-  // lane count x unroll factor: 16 on AVX2, 8 on NEON); 1 (or a scalar /
-  // CONSERVATION_SIMD=off backend) delegates to the per-anchor scalar walk.
-  // Candidate output and the tested/steps counters are identical for every
-  // setting — this only tunes how full the SIMD lanes run.
-  int walk_width = 0;
   // Sketch anchor-pruning policy and block span (ticks per sketch block).
   // See SketchMode above; the block span trades screen resolution (smaller
   // blocks prune more precisely) against sketch footprint and scan length.
   SketchMode sketch = SketchMode::kAuto;
   int64_t sketch_block = 256;
-  // Right-anchor sketch screen for NAB/NAB-opt. The NAB screen bounds each
-  // right anchor's reachable LEFT endpoints through the sketch, which pays
-  // off far less often than the left-anchored screen (the length schedule
-  // already caps probes per anchor at O(log n)), so it defaults OFF and the
-  // `sketch` mode above then governs only the left-anchored generators; see
-  // DESIGN.md §4f. Candidates are bit-identical either way.
-  bool sketch_nab_right = false;
   // Optional prebuilt sketch over the same series (series/store.h tier).
   // When null and the screen is enabled, generators build a transient
   // sketch per GenerateCandidates call. Must outlive the call.
@@ -162,20 +146,15 @@ struct GeneratorStats {
   uint64_t batches = 0;
   // Number of candidate intervals emitted.
   uint64_t candidates = 0;
-  // Cross-anchor walk-scheduler accounting (interval/walk.h). Like
-  // `batches`, these describe execution shape, not logical work, and may
-  // vary with walk_width and backend; zero when the scalar walk ran.
+  // Resumable-walk accounting (interval/walk.h) for AB and NAB. Like
+  // `batches`, these describe execution shape, not logical work.
   uint64_t walks = 0;        // resumable walks activated
-  uint64_t walk_rounds = 0;  // gather rounds the schedulers issued
-  uint64_t walk_lanes = 0;   // probe lanes actually occupied across rounds
-  // Lane capacity of those rounds (rounds x walk width); occupancy is
-  // walk_lanes / walk_lane_slots.
-  uint64_t walk_lane_slots = 0;
+  uint64_t walk_rounds = 0;  // walk steps issued
   // Sketch screen accounting (interval/prune.h): anchors skipped because
   // the screen proved their per-anchor optimum empty, and sketch blocks
   // scanned doing so (both screen construction and per-anchor rescans).
   // Deterministic for a given series + options — the screen's decisions and
-  // scan order do not depend on threading, walk width, or SIMD backend.
+  // scan order do not depend on threading or SIMD backend.
   uint64_t anchors_pruned = 0;
   uint64_t sketch_blocks = 0;
   // Total work time: summed across workers. Equals wall_seconds for a
@@ -205,22 +184,15 @@ struct GeneratorStats {
     candidates += shard.candidates;
     walks += shard.walks;
     walk_rounds += shard.walk_rounds;
-    walk_lanes += shard.walk_lanes;
-    walk_lane_slots += shard.walk_lane_slots;
     anchors_pruned += shard.anchors_pruned;
     sketch_blocks += shard.sketch_blocks;
     seconds += shard.seconds;
   }
 
-  // Fraction of walk-scheduler lane slots that carried a live probe, in
-  // [0, 1]; 0.0 when no walk scheduler ran. The bench_smoke_walks gate
-  // asserts this stays > 0.9 for the auto width on a vector backend.
-  double LaneOccupancy() const {
-    return walk_lane_slots == 0
-               ? 0.0
-               : static_cast<double>(walk_lanes) /
-                     static_cast<double>(walk_lane_slots);
-  }
+  // Fraction of SIMD walk-lane slots that carried a live probe. No
+  // generator runs a cross-anchor lane scheduler, so this is always 0.0;
+  // kept for callers that still report it.
+  double LaneOccupancy() const { return 0.0; }
 
   // Shard-level observability, derived from shard_work. Workers that
   // claimed no chunk (they reached the cursor after exhaustion) are

@@ -158,43 +158,6 @@ class ConfidenceKernel {
     }
   }
 
-  // --- Cross-walk rounds (interval/walk.h) ---
-  // One lane per active walk; per-anchor state becomes per-lane arrays.
-
-  // Hoisted sparsification state for the current anchor (after
-  // BeginAnchor); the walk schedulers snapshot these into their lane
-  // arrays so a lane's probes skip the per-probe baseline re-derivation.
-  double sp_prev() const { return sp_prev_; }
-  double h_sp() const { return h_sp_; }
-  // The sparsification cumulative array itself, for walk completion code
-  // that re-derives a probe's area outside a batch call (walk.h). Computed
-  // from the tableau type, not the BeginAnchor-lazy sp_ cache, so it is
-  // valid before the first anchor begins.
-  const double* sp() const { return hold_ ? sb_ : sa_; }
-
-  // One branchless binary-search step for `count` in-progress walk-lane
-  // searches: probes SparseArea at each lane's midpoint and updates the
-  // lane's lo/hi/result registers in place (see WalkRoundArgs). Returns
-  // the bitmask of lanes whose search just completed, so count <= 64.
-  // args.sp is supplied by the kernel; per lane, one round is bit-identical
-  // to one iteration of the scalar largest-endpoint search loop.
-  uint64_t SparseWalkRound(WalkRoundArgs args, int64_t count) const {
-    args.sp = sp_;
-    if (count < 4) return SparseWalkRoundScalar(args, count);
-    switch (backend_) {
-#if CONSERVATION_KERNEL_HAVE_AVX2
-      case SimdBackend::kAvx2:
-        return avx2::SparseWalkRound(args, count);
-#endif
-#if CONSERVATION_KERNEL_HAVE_NEON
-      case SimdBackend::kNeon:
-        return neon::SparseWalkRound(args, count);
-#endif
-      default:
-        return SparseWalkRoundScalar(args, count);
-    }
-  }
-
   // --- Right-anchored sweeps (NAB): fix endpoint j, vary anchor i ---
 
   void BeginRightAnchor(int64_t j) {

@@ -85,20 +85,6 @@ inline const char* SimdBackendName(SimdBackend backend) {
   }
 }
 
-// Vector lanes per batch op on a backend (doubles per register). The walk
-// schedulers size their auto width as a multiple of this.
-inline int SimdLaneWidth(SimdBackend backend) {
-  switch (backend) {
-    case SimdBackend::kAvx2:
-      return 4;
-    case SimdBackend::kNeon:
-      return 2;
-    case SimdBackend::kScalar:
-    default:
-      return 1;
-  }
-}
-
 // --- Backend selection -----------------------------------------------------
 
 // What a CONSERVATION_SIMD environment value asks for. kAuto covers the
@@ -258,36 +244,6 @@ struct RightAnchorBatchArgs {
   core::ConfidenceModel model;
 };
 
-// --- Cross-walk round form -------------------------------------------------
-// One lane per concurrently active walk (interval/walk.h): every lane
-// carries its own anchor, so the per-anchor snapshots become per-lane
-// arrays. The shared cumulative arrays stay process-wide pointers.
-
-// One binary-search step for every walk lane at once. Each lane is an
-// in-progress largest-endpoint-within search (area_based_opt.cc): the
-// round computes mid = lo + (hi - lo)/2, probes SparseArea_{i}(mid), and
-// applies the accept/reject register update branchlessly — the outcome is
-// data-random, so per-lane branches would mispredict every other probe.
-// Bit-identical per lane to one iteration of the scalar search loop.
-// Returns a bitmask of lanes whose search just completed (lo > hi), which
-// caps a round at 64 lanes.
-struct WalkRoundArgs {
-  const double* sp;        // shared cumulative array (SB hold / SA fail)
-  const double* sp_prev;   // per lane: sp[i-1] hoisted at walk start
-  const double* h_sp;      // per lane: sparsification baseline
-  const int64_t* i;        // per lane: walk anchor
-  const double* threshold; // per lane: current search threshold
-  int64_t* lo;             // per lane search registers, updated in place
-  int64_t* hi;
-};
-// The round deliberately maintains no `result` or probe-area register: the
-// accept step (lo = mid + 1 on success, result = mid) keeps result == lo - 1
-// at every point of the search, and on completion both the accepted probe's
-// area (at result) and a forced search's final probe area (at result + 1)
-// re-derive bit-exactly from sp and the hoisted lane baselines (walk.h
-// AbOptWalkState). Dropping the registers saves lane loads, blends, and
-// stores on every probe of every search.
-
 // --- Sketch screen block forms ---------------------------------------------
 // Conservative "could any (anchor, endpoint) pair touching this sketch
 // block pass the threshold?" tests over the block quantization maps
@@ -320,26 +276,6 @@ struct SketchScanArgs {
   int64_t n;           // endpoint ceiling (j <= n)
   double threshold;    // acceptance constant t (interval/prune.h)
   bool hold;           // hold: pass is conf >= t; fail: conf <= t
-};
-
-// Right-anchored form (NAB, balance model: H_i^A == H_i^B == A_{i-1}):
-// endpoints j in [j_lo, j_hi] (a single endpoint when equal, with exact
-// sa_end/sb_end scalars), anchors i grouped by sketch block, with the
-// anchor-side bounds precomputed per block by the screen.
-struct SketchScanRightArgs {
-  // Per-anchor-block bounds on the baseline A[i-1] and on SA/SB[i-1].
-  const double* h_blk_lo;
-  const double* h_blk_hi;
-  const double* sap_blk_lo;
-  const double* sap_blk_hi;
-  const double* sbp_blk_lo;
-  const double* sbp_blk_hi;
-  double sa_end_lo, sa_end_hi;
-  double sb_end_lo, sb_end_hi;
-  int64_t j_lo, j_hi;
-  int64_t block;
-  double threshold;
-  bool hold;
 };
 
 // --- Portable scalar backend ----------------------------------------------
@@ -391,27 +327,6 @@ inline void ConfidenceIndexBatchScalar(const LeftAnchorBatchArgs& args,
     out_conf[k] = valid ? num / den : 0.0;
     out_valid[k] = valid ? 1 : 0;
   }
-}
-
-inline uint64_t SparseWalkRoundScalar(const WalkRoundArgs& args,
-                                      int64_t count) {
-  const double* __restrict sp = args.sp;
-  uint64_t completed = 0;
-  for (int64_t k = 0; k < count; ++k) {
-    const int64_t lo = args.lo[k];
-    const int64_t hi = args.hi[k];
-    const int64_t mid = lo + (hi - lo) / 2;
-    const double raw = (sp[mid] - args.sp_prev[k]) -
-                       static_cast<double>(mid - args.i[k] + 1) * args.h_sp[k];
-    const double area = raw < 0.0 ? 0.0 : raw;
-    const bool ok = area <= args.threshold[k];
-    const int64_t new_lo = ok ? mid + 1 : lo;
-    const int64_t new_hi = ok ? hi : mid - 1;
-    args.lo[k] = new_lo;
-    args.hi[k] = new_hi;
-    completed |= static_cast<uint64_t>(new_lo > new_hi) << k;
-  }
-  return completed;
 }
 
 inline void ConfidenceFromBatchScalar(const RightAnchorBatchArgs& args,
@@ -497,50 +412,6 @@ inline uint64_t SketchMaybeMaskScalar(const SketchScanArgs& args, int64_t b0,
   return maybe;
 }
 
-// Right-anchored sketch screen (balance model only, so h_a == h_b and the
-// per-anchor-block h bounds serve both the numerator and denominator
-// products). Bit m covers anchor block u0 + m.
-inline uint64_t SketchMaybeMaskRightScalar(const SketchScanRightArgs& args,
-                                           int64_t u0, int64_t count) {
-  const double block = static_cast<double>(args.block);
-  const double j_lo = static_cast<double>(args.j_lo);
-  const double j_hi = static_cast<double>(args.j_hi);
-  const double t = args.threshold;
-  uint64_t maybe = 0;
-  for (int64_t m = 0; m < count; ++m) {
-    const int64_t u = u0 + m;
-    const double u_base = static_cast<double>(u) * block;
-    const double i_min = std::max(1.0, u_base);
-    const double i_max = std::min(j_hi, u_base + (block - 1.0));
-    const double len_min = std::max(1.0, (j_lo - i_max) + 1.0);
-    const double len_max = std::max(len_min, (j_hi - i_min) + 1.0);
-    const double h_lo = args.h_blk_lo[u];
-    const double h_hi = args.h_blk_hi[u];
-    const double min_term = h_lo >= 0.0 ? len_min * h_lo : len_max * h_lo;
-    const double den_ub = (args.sb_end_hi - args.sbp_blk_lo[u]) - min_term;
-    bool lane;
-    if (args.hold) {
-      const double max_term = h_hi >= 0.0 ? len_max * h_hi : len_min * h_hi;
-      const double den_lb_raw =
-          (args.sb_end_lo - args.sbp_blk_hi[u]) - max_term;
-      const double den_lb = den_lb_raw < 0.0 ? 0.0 : den_lb_raw;
-      const double num_ub_raw =
-          (args.sa_end_hi - args.sap_blk_lo[u]) - min_term;
-      const double num_ub = num_ub_raw < 0.0 ? 0.0 : num_ub_raw;
-      lane = den_ub > 0.0 && (den_lb > 0.0 ? num_ub / den_lb >= t
-                                           : (num_ub > 0.0 || t <= 0.0));
-    } else {
-      const double max_term = h_hi >= 0.0 ? len_max * h_hi : len_min * h_hi;
-      const double num_lb_raw =
-          (args.sa_end_lo - args.sap_blk_hi[u]) - max_term;
-      const double num_lb = num_lb_raw < 0.0 ? 0.0 : num_lb_raw;
-      lane = den_ub > 0.0 && num_lb / den_ub <= t;
-    }
-    maybe |= static_cast<uint64_t>(lane) << m;
-  }
-  return maybe;
-}
-
 // --- AVX2 backend ----------------------------------------------------------
 
 #if CONSERVATION_KERNEL_HAVE_AVX2
@@ -573,20 +444,6 @@ __attribute__((target("avx2"))) inline __m256d GatherLanes(
     const double* base, const int64_t* idx, int64_t offset = 0) {
   return _mm256_setr_pd(base[idx[0] + offset], base[idx[1] + offset],
                         base[idx[2] + offset], base[idx[3] + offset]);
-}
-
-// Gather with the indices still in a vector register. Bouncing them
-// through the stack would make every load address depend on a wide store
-// forwarding into narrow reloads, which serializes on in-order store
-// retirement; extracting via ALU keeps independent iterations pipelined.
-__attribute__((target("avx2"))) inline __m256d GatherLanesReg(
-    const double* base, __m256i idx) {
-  const __m128i idx_lo = _mm256_castsi256_si128(idx);
-  const __m128i idx_hi = _mm256_extracti128_si256(idx, 1);
-  return _mm256_setr_pd(base[_mm_cvtsi128_si64(idx_lo)],
-                        base[_mm_extract_epi64(idx_lo, 1)],
-                        base[_mm_cvtsi128_si64(idx_hi)],
-                        base[_mm_extract_epi64(idx_hi, 1)]);
 }
 
 __attribute__((target("avx2"))) inline void StoreValid(uint8_t* out,
@@ -683,54 +540,6 @@ __attribute__((target("avx2"))) inline void ConfidenceIndexBatch(
     ConfidenceIndexBatchScalar(args, js + k, count - k, out_conf + k,
                                out_valid + k);
   }
-}
-
-__attribute__((target("avx2"))) inline uint64_t SparseWalkRound(
-    const WalkRoundArgs& args, int64_t count) {
-  const __m256i one = _mm256_set1_epi64x(1);
-  uint64_t completed = 0;
-  int64_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(args.lo + k));
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(args.hi + k));
-    // mid = lo + (hi - lo) / 2; hi >= lo for an in-progress search, so the
-    // logical shift is exact integer division.
-    const __m256i mid = _mm256_add_epi64(
-        lo, _mm256_srli_epi64(_mm256_sub_epi64(hi, lo), 1));
-    const __m256d sp = GatherLanesReg(args.sp, mid);
-    const __m256d sp_prev = _mm256_loadu_pd(args.sp_prev + k);
-    const __m256d h_sp = _mm256_loadu_pd(args.h_sp + k);
-    const __m256i iv = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(args.i + k));
-    const __m256d len =
-        SmallInt64ToDouble(_mm256_sub_epi64(mid, _mm256_sub_epi64(iv, one)));
-    const __m256d raw = _mm256_sub_pd(_mm256_sub_pd(sp, sp_prev),
-                                      _mm256_mul_pd(len, h_sp));
-    const __m256d area = ClampZero(raw);
-    const __m256d ok_pd = _mm256_cmp_pd(
-        area, _mm256_loadu_pd(args.threshold + k), _CMP_LE_OQ);
-    const __m256i ok = _mm256_castpd_si256(ok_pd);
-    const __m256i new_lo =
-        _mm256_blendv_epi8(lo, _mm256_add_epi64(mid, one), ok);
-    const __m256i new_hi =
-        _mm256_blendv_epi8(_mm256_sub_epi64(mid, one), hi, ok);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.lo + k), new_lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.hi + k), new_hi);
-    const __m256i done = _mm256_cmpgt_epi64(new_lo, new_hi);
-    completed |= static_cast<uint64_t>(_mm256_movemask_pd(
-                     _mm256_castsi256_pd(done)))
-                 << k;
-  }
-  if (k < count) {
-    const WalkRoundArgs tail{args.sp,           args.sp_prev + k,
-                             args.h_sp + k,      args.i + k,
-                             args.threshold + k, args.lo + k,
-                             args.hi + k};
-    completed |= SparseWalkRoundScalar(tail, count - k) << k;
-  }
-  return completed;
 }
 
 __attribute__((target("avx2"))) inline void ConfidenceFromBatch(
@@ -854,85 +663,6 @@ __attribute__((target("avx2"))) inline uint64_t SketchMaybeMask(
   return maybe;
 }
 
-// Vector mirror of SketchMaybeMaskRightScalar. Here the h bounds vary per
-// lane (one anchor block each), so the len selection is a lanewise blend on
-// the sign compare — identical to the scalar's `h >= 0 ? len_min : len_max`
-// because the h bounds are finite (A is finite everywhere).
-__attribute__((target("avx2"))) inline uint64_t SketchMaybeMaskRight(
-    const SketchScanRightArgs& args, int64_t u0, int64_t count) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d all_true = _mm256_cmp_pd(zero, zero, _CMP_EQ_OQ);
-  const __m256d vt = _mm256_set1_pd(args.threshold);
-  const double block = static_cast<double>(args.block);
-  const __m256d vblock = _mm256_set1_pd(block);
-  const __m256d vblock_m1 = _mm256_set1_pd(block - 1.0);
-  const __m256d vj_lo = _mm256_set1_pd(static_cast<double>(args.j_lo));
-  const __m256d vj_hi = _mm256_set1_pd(static_cast<double>(args.j_hi));
-  const __m256d sb_end_lo = _mm256_set1_pd(args.sb_end_lo);
-  const __m256d sb_end_hi = _mm256_set1_pd(args.sb_end_hi);
-  const __m256d sa_end_lo = _mm256_set1_pd(args.sa_end_lo);
-  const __m256d sa_end_hi = _mm256_set1_pd(args.sa_end_hi);
-  const double u0d = static_cast<double>(u0);
-  __m256d vu = _mm256_setr_pd(u0d, u0d + 1.0, u0d + 2.0, u0d + 3.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  uint64_t maybe = 0;
-  int64_t m = 0;
-  for (; m + 4 <= count; m += 4, vu = _mm256_add_pd(vu, four)) {
-    const __m256d u_base = _mm256_mul_pd(vu, vblock);
-    const __m256d i_min = _mm256_max_pd(one, u_base);
-    const __m256d i_max = _mm256_min_pd(vj_hi, _mm256_add_pd(u_base,
-                                                             vblock_m1));
-    const __m256d len_min = _mm256_max_pd(
-        one, _mm256_add_pd(_mm256_sub_pd(vj_lo, i_max), one));
-    const __m256d len_max = _mm256_max_pd(
-        len_min, _mm256_add_pd(_mm256_sub_pd(vj_hi, i_min), one));
-    const __m256d h_lo = _mm256_loadu_pd(args.h_blk_lo + u0 + m);
-    const __m256d h_hi = _mm256_loadu_pd(args.h_blk_hi + u0 + m);
-    const __m256d lo_nonneg = _mm256_cmp_pd(h_lo, zero, _CMP_GE_OQ);
-    const __m256d hi_nonneg = _mm256_cmp_pd(h_hi, zero, _CMP_GE_OQ);
-    const __m256d min_term = _mm256_mul_pd(
-        _mm256_blendv_pd(len_max, len_min, lo_nonneg), h_lo);
-    const __m256d max_term = _mm256_mul_pd(
-        _mm256_blendv_pd(len_min, len_max, hi_nonneg), h_hi);
-    const __m256d sbp_lo = _mm256_loadu_pd(args.sbp_blk_lo + u0 + m);
-    const __m256d den_ub = _mm256_sub_pd(_mm256_sub_pd(sb_end_hi, sbp_lo),
-                                         min_term);
-    const __m256d den_ub_pos = _mm256_cmp_pd(den_ub, zero, _CMP_GT_OQ);
-    __m256d lane;
-    if (args.hold) {
-      const __m256d sbp_hi = _mm256_loadu_pd(args.sbp_blk_hi + u0 + m);
-      const __m256d den_lb = ClampZero(_mm256_sub_pd(
-          _mm256_sub_pd(sb_end_lo, sbp_hi), max_term));
-      const __m256d sap_lo = _mm256_loadu_pd(args.sap_blk_lo + u0 + m);
-      const __m256d num_ub = ClampZero(_mm256_sub_pd(
-          _mm256_sub_pd(sa_end_hi, sap_lo), min_term));
-      const __m256d den_lb_pos = _mm256_cmp_pd(den_lb, zero, _CMP_GT_OQ);
-      const __m256d div_ok = _mm256_cmp_pd(_mm256_div_pd(num_ub, den_lb), vt,
-                                           _CMP_GE_OQ);
-      const __m256d zero_den_ok =
-          args.threshold <= 0.0 ? all_true
-                                : _mm256_cmp_pd(num_ub, zero, _CMP_GT_OQ);
-      const __m256d cond = _mm256_or_pd(_mm256_and_pd(den_lb_pos, div_ok),
-                                        _mm256_andnot_pd(den_lb_pos,
-                                                         zero_den_ok));
-      lane = _mm256_and_pd(den_ub_pos, cond);
-    } else {
-      const __m256d sap_hi = _mm256_loadu_pd(args.sap_blk_hi + u0 + m);
-      const __m256d num_lb = ClampZero(_mm256_sub_pd(
-          _mm256_sub_pd(sa_end_lo, sap_hi), max_term));
-      const __m256d div_ok = _mm256_cmp_pd(_mm256_div_pd(num_lb, den_ub), vt,
-                                           _CMP_LE_OQ);
-      lane = _mm256_and_pd(den_ub_pos, div_ok);
-    }
-    maybe |= static_cast<uint64_t>(_mm256_movemask_pd(lane)) << m;
-  }
-  if (m < count) {
-    maybe |= SketchMaybeMaskRightScalar(args, u0 + m, count - m) << m;
-  }
-  return maybe;
-}
-
 }  // namespace avx2
 
 #endif  // CONSERVATION_KERNEL_HAVE_AVX2
@@ -1035,48 +765,6 @@ inline void ConfidenceIndexBatch(const LeftAnchorBatchArgs& args,
     ConfidenceIndexBatchScalar(args, js + k, count - k, out_conf + k,
                                out_valid + k);
   }
-}
-
-inline uint64_t SparseWalkRound(const WalkRoundArgs& args, int64_t count) {
-  const int64x2_t one = vdupq_n_s64(1);
-  uint64_t completed = 0;
-  int64_t k = 0;
-  for (; k + 2 <= count; k += 2) {
-    const int64x2_t lo = vld1q_s64(args.lo + k);
-    const int64x2_t hi = vld1q_s64(args.hi + k);
-    // mid = lo + (hi - lo) / 2; hi >= lo in-progress, so the logical shift
-    // is exact integer division.
-    const int64x2_t mid = vaddq_s64(
-        lo, vreinterpretq_s64_u64(
-                vshrq_n_u64(vreinterpretq_u64_s64(vsubq_s64(hi, lo)), 1)));
-    const double sp_lanes[2] = {args.sp[vgetq_lane_s64(mid, 0)],
-                                args.sp[vgetq_lane_s64(mid, 1)]};
-    const float64x2_t sp = vld1q_f64(sp_lanes);
-    const float64x2_t sp_prev = vld1q_f64(args.sp_prev + k);
-    const float64x2_t h_sp = vld1q_f64(args.h_sp + k);
-    const int64x2_t iv = vld1q_s64(args.i + k);
-    const float64x2_t len =
-        vcvtq_f64_s64(vsubq_s64(mid, vsubq_s64(iv, one)));
-    const float64x2_t raw =
-        vsubq_f64(vsubq_f64(sp, sp_prev), vmulq_f64(len, h_sp));
-    const float64x2_t area = ClampZero(raw);
-    const uint64x2_t ok = vcleq_f64(area, vld1q_f64(args.threshold + k));
-    const int64x2_t new_lo = vbslq_s64(ok, vaddq_s64(mid, one), lo);
-    const int64x2_t new_hi = vbslq_s64(ok, hi, vsubq_s64(mid, one));
-    vst1q_s64(args.lo + k, new_lo);
-    vst1q_s64(args.hi + k, new_hi);
-    const uint64x2_t done = vcgtq_s64(new_lo, new_hi);
-    completed |= (vgetq_lane_u64(done, 0) & 1) << k;
-    completed |= (vgetq_lane_u64(done, 1) & 1) << (k + 1);
-  }
-  if (k < count) {
-    const WalkRoundArgs tail{args.sp,           args.sp_prev + k,
-                             args.h_sp + k,      args.i + k,
-                             args.threshold + k, args.lo + k,
-                             args.hi + k};
-    completed |= SparseWalkRoundScalar(tail, count - k) << k;
-  }
-  return completed;
 }
 
 inline void ConfidenceFromBatch(const RightAnchorBatchArgs& args,
@@ -1195,79 +883,6 @@ inline uint64_t SketchMaybeMask(const SketchScanArgs& args, int64_t b0,
   }
   if (m < count) {
     maybe |= SketchMaybeMaskScalar(args, b0 + m, count - m) << m;
-  }
-  return maybe;
-}
-
-// NEON mirror of avx2::SketchMaybeMaskRight: per-lane h bounds, sign-blend
-// len selection via vbslq on the >= 0 compare.
-inline uint64_t SketchMaybeMaskRight(const SketchScanRightArgs& args,
-                                     int64_t u0, int64_t count) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t vt = vdupq_n_f64(args.threshold);
-  const double block = static_cast<double>(args.block);
-  const float64x2_t vblock = vdupq_n_f64(block);
-  const float64x2_t vblock_m1 = vdupq_n_f64(block - 1.0);
-  const float64x2_t vj_lo = vdupq_n_f64(static_cast<double>(args.j_lo));
-  const float64x2_t vj_hi = vdupq_n_f64(static_cast<double>(args.j_hi));
-  const float64x2_t sb_end_lo = vdupq_n_f64(args.sb_end_lo);
-  const float64x2_t sb_end_hi = vdupq_n_f64(args.sb_end_hi);
-  const float64x2_t sa_end_lo = vdupq_n_f64(args.sa_end_lo);
-  const float64x2_t sa_end_hi = vdupq_n_f64(args.sa_end_hi);
-  const double u0d = static_cast<double>(u0);
-  const double u_init[2] = {u0d, u0d + 1.0};
-  float64x2_t vu = vld1q_f64(u_init);
-  const float64x2_t two = vdupq_n_f64(2.0);
-  uint64_t maybe = 0;
-  int64_t m = 0;
-  for (; m + 2 <= count; m += 2, vu = vaddq_f64(vu, two)) {
-    const float64x2_t u_base = vmulq_f64(vu, vblock);
-    const float64x2_t i_min = vmaxq_f64(one, u_base);
-    const float64x2_t i_max = vminq_f64(vj_hi, vaddq_f64(u_base, vblock_m1));
-    const float64x2_t len_min =
-        vmaxq_f64(one, vaddq_f64(vsubq_f64(vj_lo, i_max), one));
-    const float64x2_t len_max =
-        vmaxq_f64(len_min, vaddq_f64(vsubq_f64(vj_hi, i_min), one));
-    const float64x2_t h_lo = vld1q_f64(args.h_blk_lo + u0 + m);
-    const float64x2_t h_hi = vld1q_f64(args.h_blk_hi + u0 + m);
-    const float64x2_t min_term =
-        vmulq_f64(vbslq_f64(vcgeq_f64(h_lo, zero), len_min, len_max), h_lo);
-    const float64x2_t max_term =
-        vmulq_f64(vbslq_f64(vcgeq_f64(h_hi, zero), len_max, len_min), h_hi);
-    const float64x2_t sbp_lo = vld1q_f64(args.sbp_blk_lo + u0 + m);
-    const float64x2_t den_ub =
-        vsubq_f64(vsubq_f64(sb_end_hi, sbp_lo), min_term);
-    const uint64x2_t den_ub_pos = vcgtq_f64(den_ub, zero);
-    uint64x2_t lane;
-    if (args.hold) {
-      const float64x2_t sbp_hi = vld1q_f64(args.sbp_blk_hi + u0 + m);
-      const float64x2_t den_lb =
-          ClampZero(vsubq_f64(vsubq_f64(sb_end_lo, sbp_hi), max_term));
-      const float64x2_t sap_lo = vld1q_f64(args.sap_blk_lo + u0 + m);
-      const float64x2_t num_ub =
-          ClampZero(vsubq_f64(vsubq_f64(sa_end_hi, sap_lo), min_term));
-      const uint64x2_t den_lb_pos = vcgtq_f64(den_lb, zero);
-      const uint64x2_t div_ok = vcgeq_f64(vdivq_f64(num_ub, den_lb), vt);
-      const uint64x2_t zero_den_ok = args.threshold <= 0.0
-                                         ? vdupq_n_u64(~uint64_t{0})
-                                         : vcgtq_f64(num_ub, zero);
-      const uint64x2_t cond = vorrq_u64(
-          vandq_u64(den_lb_pos, div_ok),
-          vbicq_u64(zero_den_ok, den_lb_pos));
-      lane = vandq_u64(den_ub_pos, cond);
-    } else {
-      const float64x2_t sap_hi = vld1q_f64(args.sap_blk_hi + u0 + m);
-      const float64x2_t num_lb =
-          ClampZero(vsubq_f64(vsubq_f64(sa_end_lo, sap_hi), max_term));
-      const uint64x2_t div_ok = vcleq_f64(vdivq_f64(num_lb, den_ub), vt);
-      lane = vandq_u64(den_ub_pos, div_ok);
-    }
-    maybe |= (vgetq_lane_u64(lane, 0) & 1) << m;
-    maybe |= (vgetq_lane_u64(lane, 1) & 1) << (m + 1);
-  }
-  if (m < count) {
-    maybe |= SketchMaybeMaskRightScalar(args, u0 + m, count - m) << m;
   }
   return maybe;
 }

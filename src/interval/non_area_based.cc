@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "interval/kernel.h"
-#include "interval/prune.h"
 #include "interval/shard.h"
 #include "interval/walk.h"
 
@@ -48,17 +47,9 @@ std::vector<Candidate> NonAreaBasedGenerator::GenerateCandidates(
   const std::vector<int64_t> lengths =
       MakeLengthSchedule(schedule_, options.epsilon, n);
 
-  // Sketch anchor screen over right anchors (relaxed threshold), shared
-  // read-only by every chunk. Gated behind sketch_nab_right (default off,
-  // DESIGN.md §4f): the length schedule already caps probes per anchor at
-  // O(log n), so the screen rarely amortizes its construction here. The
-  // walks below keep using `options` — only the screen sees the override.
-  GeneratorOptions screen_options = options;
-  if (!options.sketch_nab_right) screen_options.sketch = SketchMode::kOff;
-  const internal::ScopedSketchScreen scoped(
-      eval, screen_options, internal::SketchScreen::Anchor::kRight,
-      /*relaxed=*/true);
-  const internal::SketchScreen* screen = scoped.get();
+  // NAB runs without the sketch anchor screen: the length schedule already
+  // caps probes per anchor at O(log n), so a screen cannot amortize its
+  // construction here (DESIGN.md §4f).
 
   // Right anchors are processed in descending order within a chunk, and
   // chunks are claimed in descending anchor order (ChunkOrder::kDescending),
@@ -85,19 +76,10 @@ std::vector<Candidate> NonAreaBasedGenerator::GenerateCandidates(
     out.reserve(static_cast<size_t>(j_end - j_begin + 1));
     uint64_t walks_started = 0;
     uint64_t walk_steps = 0;
-    uint64_t pruned = 0;
-    uint64_t sketch_blocks = 0;
     size_t first_covering = lengths.size() - 1;  // last entry is >= n >= j
     for (int64_t j = j_end; j >= j_begin; --j) {
-      // first_covering is monotone cross-anchor state: keep it current even
-      // for anchors the screen skips, so later (smaller) j see the same
-      // cursor the unscreened sweep would.
       while (first_covering > 0 && lengths[first_covering - 1] >= j) {
         --first_covering;
-      }
-      if (screen != nullptr && !screen->MayEmitRight(j, &sketch_blocks)) {
-        ++pruned;
-        continue;
       }
       kernel.BeginRightAnchor(j);
       // Schedule entries applicable to this anchor: all lengths < j plus
@@ -117,14 +99,11 @@ std::vector<Candidate> NonAreaBasedGenerator::GenerateCandidates(
     chunk_stats->batches = counters.batches;
     chunk_stats->walks = walks_started;
     chunk_stats->walk_rounds = walk_steps;
-    chunk_stats->anchors_pruned = pruned;
-    chunk_stats->sketch_blocks = sketch_blocks;
     return out;
   };
 
   std::vector<Candidate> out = internal::RunSharded(
       n, options, stats, block, internal::ChunkOrder::kDescending);
-  if (stats != nullptr) stats->sketch_blocks += scoped.construction_blocks();
   std::sort(out.begin(), out.end(), [](const Candidate& a, const Candidate& b) {
     return ByPosition(a.interval, b.interval);
   });

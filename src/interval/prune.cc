@@ -65,10 +65,8 @@ bool SketchScreenEnabled(const GeneratorOptions& options, int64_t n) {
 
 SketchScreen::SketchScreen(const core::ConfidenceEvaluator& eval,
                            const series::SeriesSketch& sketch,
-                           const GeneratorOptions& options, Anchor anchor,
-                           bool relaxed)
+                           const GeneratorOptions& options, bool relaxed)
     : sketch_(sketch),
-      anchor_(anchor),
       a_(eval.series().a_data()),
       s_(eval.series().suffix_min_gap_data()),
       sa_(eval.series().sa_data()),
@@ -94,104 +92,52 @@ SketchScreen::SketchScreen(const core::ConfidenceEvaluator& eval,
   const int64_t num_groups = n_ / block_ + 1;
   group_mixed_.assign(static_cast<size_t>(num_groups), 1);
 
-  if (anchor_ == Anchor::kLeft) {
-    const int64_t b_end = n_ / block_;
-    for (int64_t g = 0; g < num_groups; ++g) {
-      const int64_t i_lo = std::max<int64_t>(1, g * block_);
-      const int64_t i_hi = std::min<int64_t>(n_, g * block_ + block_ - 1);
-      SketchScanArgs args;
-      args.sa_blk_lo = sketch_.BlockLoData(SeriesSketch::kSA);
-      args.sa_blk_hi = sketch_.BlockHiData(SeriesSketch::kSA);
-      args.sb_blk_lo = sketch_.BlockLoData(SeriesSketch::kSB);
-      args.sb_blk_hi = sketch_.BlockHiData(SeriesSketch::kSB);
-      double prev_lo, prev_hi;
-      sketch_.RangeBounds(SeriesSketch::kA, i_lo - 1, i_hi - 1, &prev_lo,
-                          &prev_hi);
-      sketch_.RangeBounds(SeriesSketch::kSA, i_lo - 1, i_hi - 1,
-                          &args.sa_prev_lo, &args.sa_prev_hi);
-      sketch_.RangeBounds(SeriesSketch::kSB, i_lo - 1, i_hi - 1,
-                          &args.sb_prev_lo, &args.sb_prev_hi);
-      args.h_a_lo = prev_lo;
-      args.h_a_hi = prev_hi;
-      args.h_b_lo = prev_lo;
-      args.h_b_hi = prev_hi;
-      if (model_ == core::ConfidenceModel::kCredit ||
-          model_ == core::ConfidenceModel::kDebit) {
-        double gap_lo, gap_hi;
-        sketch_.RangeBounds(SeriesSketch::kS, i_lo, i_hi, &gap_lo, &gap_hi);
-        // gap_hi may be +infinity when the covering blocks reach the
-        // suffix sentinel; the resulting infinite h bound only widens the
-        // screen (kernel_simd.h keeps the arithmetic NaN-free).
-        if (model_ == core::ConfidenceModel::kCredit) {
-          args.h_a_lo = prev_lo - gap_hi;
-          args.h_a_hi = prev_hi - gap_lo;
-        } else {
-          args.h_b_lo = prev_lo + gap_lo;
-          args.h_b_hi = prev_hi + gap_hi;
-        }
-      }
-      args.i_lo = i_lo;
-      args.i_hi = i_hi;
-      args.block = block_;
-      args.n = n_;
-      args.threshold = threshold_;
-      args.hold = hold_;
-      bool mixed = false;
-      for (int64_t b = i_lo / block_; b <= b_end && !mixed; b += 64) {
-        const int64_t count = std::min<int64_t>(64, b_end - b + 1);
-        construction_blocks_ += static_cast<uint64_t>(count);
-        mixed = ScanLeftChunk(args, b, count) != 0;
-      }
-      group_mixed_[static_cast<size_t>(g)] = mixed ? 1 : 0;
-    }
-    return;
-  }
-
-  // Right screen (NAB): derive the per-anchor-block bound arrays once, then
-  // precompute the per-endpoint-group verdicts against them.
-  const int64_t nu = n_ / block_ + 1;
-  right_h_lo_.resize(static_cast<size_t>(nu));
-  right_h_hi_.resize(static_cast<size_t>(nu));
-  right_sap_lo_.resize(static_cast<size_t>(nu));
-  right_sap_hi_.resize(static_cast<size_t>(nu));
-  right_sbp_lo_.resize(static_cast<size_t>(nu));
-  right_sbp_hi_.resize(static_cast<size_t>(nu));
-  for (int64_t u = 0; u < nu; ++u) {
-    const int64_t lo_idx = u * block_ - 1;
-    const int64_t hi_idx = u * block_ + block_ - 2;
-    const size_t k = static_cast<size_t>(u);
-    sketch_.RangeBounds(SeriesSketch::kA, lo_idx, hi_idx, &right_h_lo_[k],
-                        &right_h_hi_[k]);
-    sketch_.RangeBounds(SeriesSketch::kSA, lo_idx, hi_idx, &right_sap_lo_[k],
-                        &right_sap_hi_[k]);
-    sketch_.RangeBounds(SeriesSketch::kSB, lo_idx, hi_idx, &right_sbp_lo_[k],
-                        &right_sbp_hi_[k]);
-  }
+  const int64_t b_end = n_ / block_;
   for (int64_t g = 0; g < num_groups; ++g) {
-    const int64_t j_lo = std::max<int64_t>(1, g * block_);
-    const int64_t j_hi = std::min<int64_t>(n_, g * block_ + block_ - 1);
-    SketchScanRightArgs args;
-    args.h_blk_lo = right_h_lo_.data();
-    args.h_blk_hi = right_h_hi_.data();
-    args.sap_blk_lo = right_sap_lo_.data();
-    args.sap_blk_hi = right_sap_hi_.data();
-    args.sbp_blk_lo = right_sbp_lo_.data();
-    args.sbp_blk_hi = right_sbp_hi_.data();
-    sketch_.RangeBounds(SeriesSketch::kSA, j_lo, j_hi, &args.sa_end_lo,
-                        &args.sa_end_hi);
-    sketch_.RangeBounds(SeriesSketch::kSB, j_lo, j_hi, &args.sb_end_lo,
-                        &args.sb_end_hi);
-    args.j_lo = j_lo;
-    args.j_hi = j_hi;
+    const int64_t i_lo = std::max<int64_t>(1, g * block_);
+    const int64_t i_hi = std::min<int64_t>(n_, g * block_ + block_ - 1);
+    SketchScanArgs args;
+    args.sa_blk_lo = sketch_.BlockLoData(SeriesSketch::kSA);
+    args.sa_blk_hi = sketch_.BlockHiData(SeriesSketch::kSA);
+    args.sb_blk_lo = sketch_.BlockLoData(SeriesSketch::kSB);
+    args.sb_blk_hi = sketch_.BlockHiData(SeriesSketch::kSB);
+    double prev_lo, prev_hi;
+    sketch_.RangeBounds(SeriesSketch::kA, i_lo - 1, i_hi - 1, &prev_lo,
+                        &prev_hi);
+    sketch_.RangeBounds(SeriesSketch::kSA, i_lo - 1, i_hi - 1,
+                        &args.sa_prev_lo, &args.sa_prev_hi);
+    sketch_.RangeBounds(SeriesSketch::kSB, i_lo - 1, i_hi - 1,
+                        &args.sb_prev_lo, &args.sb_prev_hi);
+    args.h_a_lo = prev_lo;
+    args.h_a_hi = prev_hi;
+    args.h_b_lo = prev_lo;
+    args.h_b_hi = prev_hi;
+    if (model_ == core::ConfidenceModel::kCredit ||
+        model_ == core::ConfidenceModel::kDebit) {
+      double gap_lo, gap_hi;
+      sketch_.RangeBounds(SeriesSketch::kS, i_lo, i_hi, &gap_lo, &gap_hi);
+      // gap_hi may be +infinity when the covering blocks reach the
+      // suffix sentinel; the resulting infinite h bound only widens the
+      // screen (kernel_simd.h keeps the arithmetic NaN-free).
+      if (model_ == core::ConfidenceModel::kCredit) {
+        args.h_a_lo = prev_lo - gap_hi;
+        args.h_a_hi = prev_hi - gap_lo;
+      } else {
+        args.h_b_lo = prev_lo + gap_lo;
+        args.h_b_hi = prev_hi + gap_hi;
+      }
+    }
+    args.i_lo = i_lo;
+    args.i_hi = i_hi;
     args.block = block_;
+    args.n = n_;
     args.threshold = threshold_;
     args.hold = hold_;
-    const int64_t u_end = j_hi / block_;
     bool mixed = false;
-    for (int64_t u = 0; u <= u_end && !mixed; u += 64) {
-      const int64_t count = std::min<int64_t>(64, u_end - u + 1);
+    for (int64_t b = i_lo / block_; b <= b_end && !mixed; b += 64) {
+      const int64_t count = std::min<int64_t>(64, b_end - b + 1);
       construction_blocks_ += static_cast<uint64_t>(count);
-      mixed = ScanRightChunk(args, u, count) != 0;
+      mixed = ScanLeftChunk(args, b, count) != 0;
     }
     group_mixed_[static_cast<size_t>(g)] = mixed ? 1 : 0;
   }
@@ -210,22 +156,6 @@ uint64_t SketchScreen::ScanLeftChunk(const SketchScanArgs& args, int64_t b0,
 #endif
     default:
       return SketchMaybeMaskScalar(args, b0, count);
-  }
-}
-
-uint64_t SketchScreen::ScanRightChunk(const SketchScanRightArgs& args,
-                                      int64_t u0, int64_t count) const {
-  switch (backend_) {
-#if CONSERVATION_KERNEL_HAVE_AVX2
-    case SimdBackend::kAvx2:
-      return avx2::SketchMaybeMaskRight(args, u0, count);
-#endif
-#if CONSERVATION_KERNEL_HAVE_NEON
-    case SimdBackend::kNeon:
-      return neon::SketchMaybeMaskRight(args, u0, count);
-#endif
-    default:
-      return SketchMaybeMaskRightScalar(args, u0, count);
   }
 }
 
@@ -270,7 +200,6 @@ bool SketchScreen::RefineLeftBlock(const SketchScanArgs& args,
 }
 
 bool SketchScreen::MayEmit(int64_t i, uint64_t* scan_blocks) const {
-  CR_CHECK(anchor_ == Anchor::kLeft);
   CR_CHECK(i >= 1 && i <= n_);
   if (group_mixed_[static_cast<size_t>(i / block_)] == 0) return false;
   const double prev = a_[i - 1];
@@ -323,38 +252,8 @@ bool SketchScreen::MayEmit(int64_t i, uint64_t* scan_blocks) const {
   return false;
 }
 
-bool SketchScreen::MayEmitRight(int64_t j, uint64_t* scan_blocks) const {
-  CR_CHECK(anchor_ == Anchor::kRight);
-  CR_CHECK(j >= 1 && j <= n_);
-  if (group_mixed_[static_cast<size_t>(j / block_)] == 0) return false;
-  SketchScanRightArgs args;
-  args.h_blk_lo = right_h_lo_.data();
-  args.h_blk_hi = right_h_hi_.data();
-  args.sap_blk_lo = right_sap_lo_.data();
-  args.sap_blk_hi = right_sap_hi_.data();
-  args.sbp_blk_lo = right_sbp_lo_.data();
-  args.sbp_blk_hi = right_sbp_hi_.data();
-  args.sa_end_lo = args.sa_end_hi = sa_[j];
-  args.sb_end_lo = args.sb_end_hi = sb_[j];
-  args.j_lo = args.j_hi = j;
-  args.block = block_;
-  args.threshold = threshold_;
-  args.hold = hold_;
-  const int64_t u_end = j / block_;
-  int64_t scanned = 0;
-  for (int64_t u = 0; u <= u_end; u += 64) {
-    if (scanned >= kAnchorScanCap) return true;
-    const int64_t count = std::min<int64_t>(64, u_end - u + 1);
-    scanned += count;
-    *scan_blocks += static_cast<uint64_t>(count);
-    if (ScanRightChunk(args, u, count) != 0) return true;
-  }
-  return false;
-}
-
 ScopedSketchScreen::ScopedSketchScreen(const core::ConfidenceEvaluator& eval,
                                        const GeneratorOptions& options,
-                                       SketchScreen::Anchor anchor,
                                        bool relaxed) {
   const int64_t n = eval.n();
   if (!SketchScreenEnabled(options, n)) return;
@@ -364,7 +263,7 @@ ScopedSketchScreen::ScopedSketchScreen(const core::ConfidenceEvaluator& eval,
     sketch_ = series::SeriesSketch::Build(eval.series(), block);
     sketch = &sketch_;
   }
-  screen_.emplace(eval, *sketch, options, anchor, relaxed);
+  screen_.emplace(eval, *sketch, options, relaxed);
 }
 
 }  // namespace conservation::interval::internal

@@ -6,7 +6,9 @@
 // no-false-negative verdict. Anchors whose per-anchor optimum is provably
 // empty are skipped before BeginAnchor, so a high-prune-rate run touches a
 // fraction of the full-precision columns; the emitted candidate set stays
-// bit-identical because a pruned anchor would have emitted nothing.
+// bit-identical because a pruned anchor would have emitted nothing. Only
+// the left-anchored generators (exhaustive, AB, AB-opt) are screened; NAB
+// runs unscreened (DESIGN.md §4f).
 //
 // Soundness (DESIGN.md §4f): for each endpoint block the screen evaluates
 // the same expression shapes as the exact kernel (interval/kernel.h) with
@@ -22,9 +24,8 @@
 // options, anchor). The SIMD backends in kernel_simd.h compute lanewise
 // bit-identical maybe-masks, and block accounting is chunk-granular, so
 // decisions AND counters are invariant across thread counts, chunkings,
-// walk widths, and CONSERVATION_SIMD settings — the cross-backend equality
-// assertions in tests/kernel_batch_test.cc and tests/walk_resume_test.cc
-// keep holding with the screen enabled.
+// and CONSERVATION_SIMD settings — the cross-backend equality assertions in
+// tests/kernel_batch_test.cc keep holding with the screen enabled.
 
 #ifndef CONSERVATION_INTERVAL_PRUNE_H_
 #define CONSERVATION_INTERVAL_PRUNE_H_
@@ -67,11 +68,6 @@ int64_t ResolveSketchBlock(const GeneratorOptions& options);
 
 class SketchScreen {
  public:
-  enum class Anchor {
-    kLeft,   // exhaustive / AB / AB-opt: MayEmit(i) over endpoints j >= i
-    kRight,  // NAB (balance model only): MayEmitRight(j) over anchors i <= j
-  };
-
   // Precomputes, for every block of `sketch.block()` consecutive anchors, a
   // group verdict: kPruned (no anchor in the block can emit — each is
   // skipped with no further work) or kMixed (anchors get an individual
@@ -81,14 +77,11 @@ class SketchScreen {
   // across worker threads; `eval` and `sketch` must outlive it.
   SketchScreen(const core::ConfidenceEvaluator& eval,
                const series::SeriesSketch& sketch,
-               const GeneratorOptions& options, Anchor anchor, bool relaxed);
+               const GeneratorOptions& options, bool relaxed);
 
   // True when some interval anchored at i may pass the threshold.
   // `scan_blocks` (required) accumulates sketch blocks scanned.
   bool MayEmit(int64_t i, uint64_t* scan_blocks) const;
-
-  // Right-anchored form: true when some interval ending at j may pass.
-  bool MayEmitRight(int64_t j, uint64_t* scan_blocks) const;
 
   // Sketch blocks scanned while precomputing the group verdicts; callers
   // fold this into GeneratorStats::sketch_blocks once per run.
@@ -100,21 +93,18 @@ class SketchScreen {
   // order and the first maybe-block are backend-invariant, so the cap
   // triggers identically everywhere.
   static constexpr int64_t kAnchorScanCap = 512;
-  // Per-tick code refinements allowed per anchor (left screens only): on a
+  // Per-tick code refinements allowed per anchor: on a
   // map-level maybe block, decode the 1-byte codes and retest per tick;
   // a killed block lets the scan continue past it.
   static constexpr int kRefineBudget = 2;
 
   uint64_t ScanLeftChunk(const SketchScanArgs& args, int64_t b0,
                          int64_t count) const;
-  uint64_t ScanRightChunk(const SketchScanRightArgs& args, int64_t u0,
-                          int64_t count) const;
   // True when, after decoding the per-tick codes of endpoint block b, some
   // endpoint j in it still may pass for the exact anchor scalars in `args`.
   bool RefineLeftBlock(const SketchScanArgs& args, int64_t b) const;
 
   const series::SeriesSketch& sketch_;
-  Anchor anchor_;
   const double* a_ = nullptr;
   const double* s_ = nullptr;
   const double* sa_ = nullptr;
@@ -127,12 +117,6 @@ class SketchScreen {
   SimdBackend backend_ = SimdBackend::kScalar;
   // 1 = mixed (anchors need individual scans), 0 = whole group pruned.
   std::vector<uint8_t> group_mixed_;
-  // Right screens: per-anchor-block bounds derived once from the sketch
-  // maps — the balance baseline A[i-1] and the SA/SB[i-1] prefixes for
-  // anchors i in block u (kernel_simd.h SketchScanRightArgs layout).
-  std::vector<double> right_h_lo_, right_h_hi_;
-  std::vector<double> right_sap_lo_, right_sap_hi_;
-  std::vector<double> right_sbp_lo_, right_sbp_hi_;
   uint64_t construction_blocks_ = 0;
 };
 
@@ -144,8 +128,7 @@ class SketchScreen {
 class ScopedSketchScreen {
  public:
   ScopedSketchScreen(const core::ConfidenceEvaluator& eval,
-                     const GeneratorOptions& options,
-                     SketchScreen::Anchor anchor, bool relaxed);
+                     const GeneratorOptions& options, bool relaxed);
   ScopedSketchScreen(const ScopedSketchScreen&) = delete;
   ScopedSketchScreen& operator=(const ScopedSketchScreen&) = delete;
 

@@ -10,9 +10,11 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
+#include "obs/labels.h"
 #include "obs/metrics.h"
 #include "obs/watchdog.h"
 #include "util/check.h"
@@ -37,6 +39,8 @@ struct ServeMetrics {
   obs::Counter& batches_dispatched;
   obs::Counter& cover_refreshes;
   obs::Counter& protocol_errors;
+  obs::Counter& invalid_nonfinite;
+  obs::Counter& invalid_negative;
   obs::Gauge& queue_depth;
   obs::Gauge& tenants;
   obs::Gauge& tenants_hot;
@@ -56,6 +60,10 @@ struct ServeMetrics {
         reg.Counter("serve.batches_dispatched"),
         reg.Counter("serve.cover_refreshes"),
         reg.Counter("serve.protocol_errors"),
+        obs::LabeledCounter("serve.invalid_frames")
+            .With({{"reason", "nonfinite"}}),
+        obs::LabeledCounter("serve.invalid_frames")
+            .With({{"reason", "negative"}}),
         reg.Gauge("serve.queue_depth_ticks"),
         reg.Gauge("serve.tenants"),
         reg.Gauge("serve.tenants_hot"),
@@ -68,6 +76,19 @@ struct ServeMetrics {
     return metrics;
   }
 };
+
+// Admission check on an append's counts. The session's arithmetic assumes
+// every count is finite and non-negative: a NaN or infinite count breaks
+// the monitor's invariants and a negative one breaks dominance filtering.
+enum class CountCheck { kValid, kNonFinite, kNegative };
+
+CountCheck CheckCounts(const std::vector<double>& counts) {
+  for (const double x : counts) {
+    if (!std::isfinite(x)) return CountCheck::kNonFinite;
+    if (x < 0.0) return CountCheck::kNegative;
+  }
+  return CountCheck::kValid;
+}
 
 bool SendAll(int fd, const char* data, size_t size) {
   size_t sent = 0;
@@ -325,6 +346,17 @@ void ServeDaemon::AdmitAppendLocked(const AppendFrame& append, AckFrame* ack) {
     ack->status = AckStatus::kShuttingDown;
     ++stats_.appends_rejected;
     metrics.appends_rejected.Increment();
+    return;
+  }
+  CountCheck check = CheckCounts(append.a);
+  if (check == CountCheck::kValid) check = CheckCounts(append.b);
+  if (check != CountCheck::kValid) {
+    // Only this frame is dropped; the tenant is not even created.
+    ack->status = AckStatus::kInvalid;
+    ++stats_.appends_invalid;
+    (check == CountCheck::kNonFinite ? metrics.invalid_nonfinite
+                                     : metrics.invalid_negative)
+        .Increment();
     return;
   }
   Tenant& tenant = registry_.GetOrCreate(append.tenant_id);

@@ -27,8 +27,8 @@
 //             thread sweeps dirty idle tenants and brings their tableaux
 //             up to date, amortizing cover cost across many small appends.
 //             The same sweep enforces the hot-tenant bound by evicting
-//             least-recently-dispatched idle sessions to the cold
-//             sketch-tier store.
+//             least-recently-dispatched idle sessions (their raw logs
+//             stay for fault-up).
 //
 //   observe   serve.* counters/gauges/histograms (docs/OBSERVABILITY.md)
 //             flow through the process registry; pair with
@@ -90,6 +90,8 @@ struct DaemonStats {
   uint64_t frames = 0;
   uint64_t appends_accepted = 0;
   uint64_t appends_rejected = 0;
+  // Appends refused with kInvalid (a non-finite or negative count).
+  uint64_t appends_invalid = 0;
   uint64_t ticks_ingested = 0;
   uint64_t ticks_processed = 0;
   uint64_t batches_dispatched = 0;

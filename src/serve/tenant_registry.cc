@@ -117,7 +117,6 @@ bool TenantRegistry::FaultUp(Tenant& tenant, const std::vector<double>& a,
   tenant.session =
       std::make_unique<incr::StreamSession>(std::move(session).value());
   tenant.session->discoverer().SetAppendOnly(config_.append_only);
-  if (!tenant.cold.empty()) tenant.cold = series::SeriesStore();
   hot_count_.fetch_add(1, std::memory_order_relaxed);
   faults_.fetch_add(1, std::memory_order_relaxed);
   FaultCounter().Increment();
@@ -134,9 +133,6 @@ bool TenantRegistry::RefreshCover(Tenant& tenant) {
 void TenantRegistry::Evict(Tenant& tenant) {
   CR_CHECK(tenant.session != nullptr);
   RefreshCover(tenant);  // don't discard deferred cover work with the session
-  tenant.cold = series::SeriesStore::Build(
-      tenant.session->discoverer().series(), config_.sketch_block);
-  tenant.cold.Evict(series::SeriesStore::Tier::kSketch);
   tenant.session.reset();
   hot_count_.fetch_sub(1, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);

@@ -16,11 +16,11 @@
 //     discoverer + streaming monitor) over the full raw log, running in
 //     append-only mode so small batches defer cover work to the periodic
 //     refresh tick;
-//   * the COLD state, after eviction: a sketch-tier SeriesStore
-//     (~5.5 B/tick instead of the session's full working set). Fault-up
-//     rebuilds the session from the raw log; by the incremental engine's
-//     exactness contract the refreshed tableau after re-fault is
-//     bit-identical to one maintained hot the whole time.
+//   * the COLD state, after eviction: no session, only the raw log and
+//     the dominance filter. Fault-up rebuilds the session from the raw
+//     log; by the incremental engine's exactness contract the refreshed
+//     tableau after re-fault is bit-identical to one maintained hot the
+//     whole time.
 //
 // Thread-safety: NONE — the registry is a plain data structure. The daemon
 // (serve/daemon.h) serializes all access under its own mutex and uses the
@@ -39,8 +39,6 @@
 
 #include "core/tableau.h"
 #include "incr/stream_session.h"
-#include "series/sketch.h"
-#include "series/store.h"
 #include "stream/streaming_monitor.h"
 #include "util/status.h"
 
@@ -88,10 +86,8 @@ struct TenantConfig {
   bool label_tenants = false;
   // Hot-tenant bound: after a dispatch completes, if more than this many
   // tenants hold live sessions the least-recently-dispatched idle ones are
-  // evicted to the cold tier. 0 = unbounded.
+  // evicted (their sessions dropped). 0 = unbounded.
   int64_t max_hot = 0;
-  // Sketch block for cold-tier stores.
-  int64_t sketch_block = series::SeriesSketch::kDefaultBlock;
 };
 
 struct Tenant {
@@ -112,8 +108,6 @@ struct Tenant {
   // session needs a CountSequence, which rejects all-zero inputs — such
   // tenants stay pending-only until a nonzero tick arrives).
   std::unique_ptr<incr::StreamSession> session;
-  // Cold state; empty while hot.
-  series::SeriesStore cold;
 
   // Scheduler bookkeeping (owned by the daemon, stored here for eviction
   // ordering): set while a dispatched batch for this tenant runs outside
@@ -150,7 +144,7 @@ class TenantRegistry {
   //     the number of pending ticks consumed.
   //   * ApplyBatch (call UNLOCKED, tenant pinned via in_flight) feeds the
   //     snapshot to the session, creating it first on the fault path. Only
-  //     tenant.session / tenant.cold / tenant.cover_dirty are touched —
+  //     tenant.session / tenant.cover_dirty are touched —
   //     fields readers never access.
   int64_t PrepareDispatch(Tenant& tenant, std::vector<double>* a,
                           std::vector<double>* b, bool* fault);
@@ -165,9 +159,8 @@ class TenantRegistry {
   // true when a refresh ran.
   bool RefreshCover(Tenant& tenant);
 
-  // Demotes the tenant to the cold tier: refreshes any deferred cover,
-  // builds a sketch-tier SeriesStore over its applied series and drops the
-  // session. Call unlocked with the tenant pinned; ticks that arrive
+  // Demotes the tenant to cold: refreshes any deferred cover and drops
+  // the session (the raw log stays for fault-up). Call unlocked with the tenant pinned; ticks that arrive
   // during the eviction stay pending and fault the tenant right back up
   // on their dispatch.
   void Evict(Tenant& tenant);

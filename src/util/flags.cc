@@ -39,14 +39,27 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
   return Status::Ok();
 }
 
+Status FlagParser::CheckAllRead() const {
+  std::string unknown;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) > 0) continue;
+    if (!unknown.empty()) unknown += ", ";
+    unknown += "--" + name;
+  }
+  if (unknown.empty()) return Status::Ok();
+  return Status::InvalidArgument("unknown flag(s): " + unknown);
+}
+
 std::string FlagParser::GetStringOr(const std::string& name,
                                     const std::string& fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : it->second;
 }
 
 Result<int64_t> FlagParser::GetIntOr(const std::string& name,
                                      int64_t fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   errno = 0;
@@ -62,6 +75,7 @@ Result<int64_t> FlagParser::GetIntOr(const std::string& name,
 
 Result<double> FlagParser::GetDoubleOr(const std::string& name,
                                        double fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   double value = 0.0;
@@ -75,6 +89,7 @@ Result<double> FlagParser::GetDoubleOr(const std::string& name,
 
 Result<bool> FlagParser::GetBoolOr(const std::string& name,
                                    bool fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const std::string& value = it->second;

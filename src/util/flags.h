@@ -1,14 +1,17 @@
 // Minimal command-line flag parsing for the tools and bench binaries.
 //
 // Supports "--name=value" and "--name value" forms, plus bare boolean
-// "--name". Unknown arguments are collected as positionals. No global
-// registry — a FlagParser is built per main().
+// "--name". Non-flag arguments are collected as positionals. No global
+// registry — a FlagParser is built per main(). The parser remembers every
+// name a getter (or Has) asked about, so a tool can reject flags it never
+// reads: call CheckAllRead() once every flag of the run has been read.
 
 #ifndef CONSERVATION_UTIL_FLAGS_H_
 #define CONSERVATION_UTIL_FLAGS_H_
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@ class FlagParser {
   Status Parse(int argc, const char* const* argv);
 
   bool Has(const std::string& name) const {
+    read_.insert(name);
     return values_.count(name) > 0;
   }
 
@@ -36,9 +40,14 @@ class FlagParser {
 
   const std::vector<std::string>& positionals() const { return positionals_; }
 
+  // InvalidArgument naming every flag given on the command line that no
+  // getter or Has() has asked about; Ok when there is none.
+  Status CheckAllRead() const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace conservation::util

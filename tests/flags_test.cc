@@ -76,5 +76,27 @@ TEST(FlagParserTest, SpaceFormFollowedByFlagIsBoolean) {
   EXPECT_EQ(*flags.GetIntOr("n", 0), 3);
 }
 
+TEST(FlagParserTest, CheckAllReadNamesUnreadFlags) {
+  FlagParser flags = Parse({"--n=3", "--bogus=1", "--verbose", "--extra=x"});
+  EXPECT_EQ(*flags.GetIntOr("n", 0), 3);
+  EXPECT_TRUE(flags.Has("verbose"));
+  const Status status = flags.CheckAllRead();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("--bogus"), std::string::npos);
+  EXPECT_NE(status.ToString().find("--extra"), std::string::npos);
+  EXPECT_EQ(status.ToString().find("--n"), std::string::npos);
+  EXPECT_EQ(status.ToString().find("--verbose"), std::string::npos);
+  // Reading a flag, even only for its default, marks it known.
+  EXPECT_EQ(flags.GetStringOr("bogus", ""), "1");
+  EXPECT_EQ(flags.GetStringOr("extra", ""), "x");
+  EXPECT_TRUE(flags.CheckAllRead().ok());
+}
+
+TEST(FlagParserTest, CheckAllReadIgnoresDefaultedFlags) {
+  FlagParser flags = Parse({});
+  EXPECT_EQ(*flags.GetIntOr("n", 5), 5);
+  EXPECT_TRUE(flags.CheckAllRead().ok());
+}
+
 }  // namespace
 }  // namespace conservation::util

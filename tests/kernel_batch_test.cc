@@ -289,5 +289,23 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(kModels),
                        ::testing::ValuesIn(kTypes)));
 
+// CONSERVATION_SIMD request parsing (kernel_simd.h).
+TEST(SimdRequestParse, CaseInsensitiveAndStrict) {
+  using interval::internal::ParseSimdRequest;
+  using interval::internal::SimdRequest;
+  EXPECT_EQ(ParseSimdRequest(nullptr), SimdRequest::kAuto);
+  EXPECT_EQ(ParseSimdRequest(""), SimdRequest::kAuto);
+  EXPECT_EQ(ParseSimdRequest("auto"), SimdRequest::kAuto);
+  EXPECT_EQ(ParseSimdRequest("AUTO"), SimdRequest::kAuto);
+  EXPECT_EQ(ParseSimdRequest("off"), SimdRequest::kScalar);
+  EXPECT_EQ(ParseSimdRequest("OFF"), SimdRequest::kScalar);
+  EXPECT_EQ(ParseSimdRequest("Scalar"), SimdRequest::kScalar);
+  EXPECT_EQ(ParseSimdRequest("AVX2"), SimdRequest::kAvx2);
+  EXPECT_EQ(ParseSimdRequest("Neon"), SimdRequest::kNeon);
+  EXPECT_EQ(ParseSimdRequest("sse9"), SimdRequest::kInvalid);
+  EXPECT_EQ(ParseSimdRequest("avx512"), SimdRequest::kInvalid);
+  EXPECT_EQ(ParseSimdRequest("a-very-long-token"), SimdRequest::kInvalid);
+}
+
 }  // namespace
 }  // namespace conservation

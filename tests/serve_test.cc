@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/confidence.h"
 #include "core/tableau.h"
+#include "obs/labels.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
@@ -100,6 +103,15 @@ TEST(Protocol, ByteAtATimeFeedingDecodesIdentically) {
   EXPECT_EQ(seen[2], FrameType::kAck);
   EXPECT_EQ(frame.ack.status, AckStatus::kBackpressure);
   EXPECT_EQ(frame.ack.queued_ticks, 17u);
+
+  std::string invalid_wire;
+  ack.status = AckStatus::kInvalid;
+  serve::EncodeAck(ack, &invalid_wire);
+  FrameReader invalid_reader;
+  invalid_reader.Feed(invalid_wire.data(), invalid_wire.size());
+  ASSERT_TRUE(invalid_reader.Next(&frame));
+  EXPECT_EQ(frame.ack.status, AckStatus::kInvalid);
+  EXPECT_STREQ(serve::AckStatusName(AckStatus::kInvalid), "invalid");
 }
 
 TEST(Protocol, StatsReplyRoundTrip) {
@@ -287,6 +299,73 @@ TEST(ServeDaemon, BackpressureRejectsOverfullTenantQueue) {
   EXPECT_EQ(final_stats.ticks_ingested, final_stats.ticks_processed);
 }
 
+// A frame carrying a NaN, infinite or negative count is refused with
+// kInvalid. Only that frame is dropped: the connection, the tenant's
+// earlier and later appends, and other tenants are unaffected, so the
+// tenant's tableau still matches from-scratch discovery over the valid
+// ticks bit for bit.
+TEST(ServeDaemon, InvalidCountsRejectedPerFrame) {
+  serve::DaemonOptions options;
+  options.refresh_ms = 0;
+  serve::ServeDaemon daemon(TestTenantConfig(), options);
+  ASSERT_TRUE(daemon.Start().ok());
+  obs::Counter& nonfinite = obs::LabeledCounter("serve.invalid_frames")
+                                .With({{"reason", "nonfinite"}});
+  obs::Counter& negative = obs::LabeledCounter("serve.invalid_frames")
+                               .With({{"reason", "negative"}});
+  const uint64_t nonfinite_before = nonfinite.Value();
+  const uint64_t negative_before = negative.Value();
+
+  const series::CountSequence counts =
+      testing_util::RandomDominatedCounts(/*seed=*/13, 64);
+  const std::vector<double>& a = counts.outbound();
+  const std::vector<double>& b = counts.inbound();
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(daemon.port()).ok());
+  auto ack = client.Append(7, a.data(), b.data(), 32);
+  ASSERT_TRUE(ack.ok());
+  ASSERT_EQ(ack->status, AckStatus::kOk);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bad[][2] = {{nan, 1.0}, {1.0, inf}, {-1.0, 0.0}};
+  for (const auto& tick : bad) {
+    for (const uint64_t tenant : {uint64_t{7}, uint64_t{8}}) {
+      ack = client.Append(tenant, &tick[0], &tick[1], 1);
+      ASSERT_TRUE(ack.ok()) << ack.status().message();
+      EXPECT_EQ(ack->status, AckStatus::kInvalid);
+      EXPECT_EQ(ack->accepted_ticks, 0u);
+    }
+  }
+  EXPECT_EQ(daemon.registry().Find(8), nullptr);  // never created
+
+  ack = client.Append(7, a.data() + 32, b.data() + 32, 32);
+  ASSERT_TRUE(ack.ok()) << ack.status().message();
+  ASSERT_EQ(ack->status, AckStatus::kOk);
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->ticks_ingested, static_cast<uint64_t>(counts.n()));
+
+  daemon.DrainQueues();
+  serve::Tenant* tenant = daemon.registry().Find(7);
+  ASSERT_NE(tenant, nullptr);
+  ASSERT_NE(tenant->session, nullptr);
+  daemon.registry().RefreshCover(*tenant);
+  const series::CumulativeSeries cumulative(counts);
+  const core::ConfidenceEvaluator eval(&cumulative,
+                                       core::ConfidenceModel::kBalance);
+  auto fresh = core::DiscoverTableau(eval, TestTenantConfig().request);
+  ASSERT_TRUE(fresh.ok());
+  ExpectSameTableau(tenant->session->tableau(), fresh.value(),
+                    " invalid-frames");
+
+  daemon.Stop();
+  EXPECT_EQ(daemon.Stats().appends_invalid, 6u);
+  EXPECT_EQ(daemon.Stats().appends_rejected, 0u);
+  EXPECT_EQ(nonfinite.Value() - nonfinite_before, 4u);
+  EXPECT_EQ(negative.Value() - negative_before, 2u);
+}
+
 TEST(ServeDaemon, EvictionAndRefaultPreserveTableauBitwise) {
   serve::TenantConfig config = TestTenantConfig();
   serve::DaemonOptions options;
@@ -312,16 +391,12 @@ TEST(ServeDaemon, EvictionAndRefaultPreserveTableauBitwise) {
   ASSERT_NE(tenant->session, nullptr);
   daemon.registry().Evict(*tenant);
   EXPECT_EQ(tenant->session, nullptr);
-  EXPECT_FALSE(tenant->cold.empty());
-  EXPECT_EQ(tenant->cold.tier(), series::SeriesStore::Tier::kSketch);
-  EXPECT_EQ(tenant->cold.n(), 40);
 
   ack = client.Append(3, a.data() + 40, b.data() + 40, 40);
   ASSERT_TRUE(ack.ok());
   ASSERT_EQ(ack->status, AckStatus::kOk);
   daemon.DrainQueues();
   ASSERT_NE(tenant->session, nullptr);  // faulted back up
-  EXPECT_TRUE(tenant->cold.empty());    // cold copy dropped on fault
   daemon.registry().RefreshCover(*tenant);
 
   const series::CumulativeSeries cumulative(counts);

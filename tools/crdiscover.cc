@@ -3,6 +3,9 @@
 // Usage:
 //   crdiscover --input=data.csv [options]
 //
+// An unknown flag is an error (exit 2), so a misspelled or retired option
+// never silently falls back to its default.
+//
 // Input options:
 //   --col_a=<idx> --col_b=<idx>   0-based columns (default 0, 1)
 //   --sep=<char>                  field separator (default ',')
@@ -18,17 +21,10 @@
 //                  (default 1; results are identical for every setting)
 //   --chunks_per_thread=<k>  scheduler chunks per worker (default 12);
 //                  load-balance knob only, results identical for every value
-//   --walk_width=<w>  concurrent resumable anchor walks per chunk in the
-//                  AB-opt cross-anchor scheduler (default 0 = auto: SIMD
-//                  lane count x unroll; 1 = scalar walk); results identical
-//                  for every value
 //   --sketch=auto|off  quantized-sketch anchor screen (default auto);
 //                  conservative pre-pass only, candidates are bit-identical
 //                  for both settings (env CONSERVATION_SKETCH overrides)
 //   --sketch_block=<t> ticks per sketch block (default 256)
-//   --sketch_nab_right  also screen NAB/NAB-opt right anchors with the
-//                  sketch (default off, DESIGN.md §4f); bit-identical
-//                  either way
 // Incremental replay (DESIGN.md §4g):
 //   --append_batch=<m>  replay the input through the incremental engine in
 //                  append batches of m ticks, print the maintained tableau
@@ -174,13 +170,13 @@ int main(int argc, char** argv) {
   ObsGuard obs_guard;
   const bool want_metrics = flags.Has("metrics");
   obs_guard.metrics_path = flags.GetStringOr("metrics", "");
+  auto trace_verbosity = flags.GetIntOr("trace_verbosity", 1);
+  if (!trace_verbosity.ok()) return Fail(trace_verbosity.status().ToString());
   if (flags.Has("trace")) {
     obs_guard.trace_path = flags.GetStringOr("trace", "");
     if (obs_guard.trace_path.empty()) {
       return Fail("--trace requires a file path");
     }
-    auto trace_verbosity = flags.GetIntOr("trace_verbosity", 1);
-    if (!trace_verbosity.ok()) return Fail(trace_verbosity.status().ToString());
     if (*trace_verbosity < 1 || *trace_verbosity > 2) {
       return Fail("--trace_verbosity must be 1 or 2");
     }
@@ -245,66 +241,22 @@ int main(int argc, char** argv) {
   if (sep.size() != 1) return Fail("--sep must be one character");
   read_options.separator = sep[0];
 
-  auto counts = io::ReadCountsCsv(input, read_options);
-  if (!counts.ok()) return Fail(counts.status().ToString());
-  auto rule = core::ConservationRule::Create(std::move(counts).value());
-  if (!rule.ok()) return Fail(rule.status().ToString());
-
+  // Every remaining flag is read (and range-checked) here, before any
+  // work, so the unknown-flag check below sees the whole command line
+  // whichever mode the run takes.
   auto model = ParseModel(flags.GetStringOr("model", "balance"));
   if (!model.ok()) return Fail(model.status().ToString());
-
-  // Rolling profile mode.
   auto profile = flags.GetIntOr("profile", 0);
   if (!profile.ok()) return Fail(profile.status().ToString());
-  if (*profile > 0) {
-    if (*profile > rule->n()) return Fail("--profile window exceeds n");
-    const std::vector<double> series =
-        core::ConfidenceProfile(*rule, *model, *profile);
-    std::printf("t,confidence\n");
-    for (size_t k = 0; k < series.size(); ++k) {
-      std::printf("%lld,%s\n",
-                  static_cast<long long>(*profile + static_cast<int64_t>(k)),
-                  util::FormatNumber(series[k], 6).c_str());
-    }
-    return 0;
-  }
-
-  // Per-segment summary mode.
   auto segments = flags.GetIntOr("segments", 0);
   if (!segments.ok()) return Fail(segments.status().ToString());
-  if (*segments > 0) {
-    const auto summaries = core::SummarizeSegments(
-        *rule, *model, core::UniformSegments(rule->n(), *segments));
-    std::printf("segment,begin,end,confidence,misplaced_mass\n");
-    for (const core::SegmentSummary& summary : summaries) {
-      std::printf("%s,%lld,%lld,%s,%s\n", summary.segment.label.c_str(),
-                  static_cast<long long>(summary.segment.range.begin),
-                  static_cast<long long>(summary.segment.range.end),
-                  summary.confidence.has_value()
-                      ? util::FormatNumber(*summary.confidence, 6).c_str()
-                      : "undefined",
-                  util::FormatNumber(summary.misplaced_mass, 3).c_str());
-    }
-    return 0;
-  }
-
-  // Full-report mode.
   auto want_report = flags.GetBoolOr("report", false);
   if (!want_report.ok()) return Fail(want_report.status().ToString());
-  if (*want_report) {
-    core::ReportOptions report_options;
-    report_options.model = *model;
-    auto c = flags.GetDoubleOr("c_hat", 0.7);
-    auto s_opt = flags.GetDoubleOr("s_hat", 0.05);
-    if (!c.ok()) return Fail(c.status().ToString());
-    if (!s_opt.ok()) return Fail(s_opt.status().ToString());
-    report_options.fail_c_hat = *c;
-    report_options.support = *s_opt;
-    auto report = core::BuildQualityReport(*rule, report_options);
-    if (!report.ok()) return Fail(report.status().ToString());
-    std::printf("%s", report->ToString().c_str());
-    return 0;
-  }
+  // Report mode has its own threshold defaults.
+  auto report_c_hat = flags.GetDoubleOr("c_hat", 0.7);
+  auto report_s_hat = flags.GetDoubleOr("s_hat", 0.05);
+  if (!report_c_hat.ok()) return Fail(report_c_hat.status().ToString());
+  if (!report_s_hat.ok()) return Fail(report_s_hat.status().ToString());
 
   core::TableauRequest request;
   const std::string type = flags.GetStringOr("type", "fail");
@@ -316,7 +268,8 @@ int main(int argc, char** argv) {
     return Fail("unknown type: " + type);
   }
   request.model = *model;
-  auto algorithm = ParseAlgorithm(flags.GetStringOr("algorithm", "area"));
+  const std::string algorithm_name = flags.GetStringOr("algorithm", "area");
+  auto algorithm = ParseAlgorithm(algorithm_name);
   if (!algorithm.ok()) return Fail(algorithm.status().ToString());
   request.algorithm = *algorithm;
   auto c_hat = flags.GetDoubleOr("c_hat", 0.8);
@@ -338,10 +291,6 @@ int main(int argc, char** argv) {
   }
   if (*chunks_per_thread < 1) return Fail("--chunks_per_thread must be >= 1");
   request.chunks_per_thread = static_cast<int>(*chunks_per_thread);
-  auto walk_width = flags.GetIntOr("walk_width", 0);
-  if (!walk_width.ok()) return Fail(walk_width.status().ToString());
-  if (*walk_width < 0) return Fail("--walk_width must be >= 0 (0 = auto)");
-  request.walk_width = static_cast<int>(*walk_width);
 
   const std::string sketch = flags.GetStringOr("sketch", "auto");
   if (sketch == "off") {
@@ -352,9 +301,78 @@ int main(int argc, char** argv) {
   auto sketch_block = flags.GetIntOr("sketch_block", 256);
   if (!sketch_block.ok()) return Fail(sketch_block.status().ToString());
   request.sketch_block = *sketch_block;  // range-checked by ValidateRequest
-  auto sketch_nab_right = flags.GetBoolOr("sketch_nab_right", false);
-  if (!sketch_nab_right.ok()) return Fail(sketch_nab_right.status().ToString());
-  request.sketch_nab_right = *sketch_nab_right;
+
+  const std::string sweep = flags.GetStringOr("sweep", "");
+  auto append_batch = flags.GetIntOr("append_batch", 0);
+  if (!append_batch.ok()) return Fail(append_batch.status().ToString());
+  if (*append_batch < 0) return Fail("--append_batch must be >= 0");
+  auto metrics_every = flags.GetIntOr("metrics_every", 0);
+  if (!metrics_every.ok()) return Fail(metrics_every.status().ToString());
+  if (*metrics_every < 0) return Fail("--metrics_every must be >= 0");
+  auto batch_pause_ms = flags.GetIntOr("batch_pause_ms", 0);
+  if (!batch_pause_ms.ok()) return Fail(batch_pause_ms.status().ToString());
+  if (*batch_pause_ms < 0) return Fail("--batch_pause_ms must be >= 0");
+  const std::string tenant = flags.GetStringOr("tenant", "default");
+  auto as_json = flags.GetBoolOr("json", false);
+  if (!as_json.ok()) return Fail(as_json.status().ToString());
+  auto want_cover_stats = flags.GetBoolOr("cover_stats", false);
+  if (!want_cover_stats.ok()) return Fail(want_cover_stats.status().ToString());
+  auto severity = flags.GetBoolOr("severity", false);
+  if (!severity.ok()) return Fail(severity.status().ToString());
+
+  if (util::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "crdiscover: %s\n", status.ToString().c_str());
+    return 2;
+  }
+
+  auto counts = io::ReadCountsCsv(input, read_options);
+  if (!counts.ok()) return Fail(counts.status().ToString());
+  auto rule = core::ConservationRule::Create(std::move(counts).value());
+  if (!rule.ok()) return Fail(rule.status().ToString());
+
+  // Rolling profile mode.
+  if (*profile > 0) {
+    if (*profile > rule->n()) return Fail("--profile window exceeds n");
+    const std::vector<double> series =
+        core::ConfidenceProfile(*rule, *model, *profile);
+    std::printf("t,confidence\n");
+    for (size_t k = 0; k < series.size(); ++k) {
+      std::printf("%lld,%s\n",
+                  static_cast<long long>(*profile + static_cast<int64_t>(k)),
+                  util::FormatNumber(series[k], 6).c_str());
+    }
+    return 0;
+  }
+
+  // Per-segment summary mode.
+  if (*segments > 0) {
+    const auto summaries = core::SummarizeSegments(
+        *rule, *model, core::UniformSegments(rule->n(), *segments));
+    std::printf("segment,begin,end,confidence,misplaced_mass\n");
+    for (const core::SegmentSummary& summary : summaries) {
+      std::printf("%s,%lld,%lld,%s,%s\n", summary.segment.label.c_str(),
+                  static_cast<long long>(summary.segment.range.begin),
+                  static_cast<long long>(summary.segment.range.end),
+                  summary.confidence.has_value()
+                      ? util::FormatNumber(*summary.confidence, 6).c_str()
+                      : "undefined",
+                  util::FormatNumber(summary.misplaced_mass, 3).c_str());
+    }
+    return 0;
+  }
+
+  // Full-report mode.
+  if (*want_report) {
+    core::ReportOptions report_options;
+    report_options.model = *model;
+    report_options.fail_c_hat = *report_c_hat;
+    report_options.support = *report_s_hat;
+    auto report = core::BuildQualityReport(*rule, report_options);
+    if (!report.ok()) return Fail(report.status().ToString());
+    std::printf("%s", report->ToString().c_str());
+    return 0;
+  }
+
 
   std::printf("n = %lld ticks; overall %s confidence = %s\n",
               static_cast<long long>(rule->n()),
@@ -364,7 +382,6 @@ int main(int argc, char** argv) {
                   .c_str());
 
   // Threshold sweep mode.
-  const std::string sweep = flags.GetStringOr("sweep", "");
   if (!sweep.empty()) {
     std::vector<double> thresholds;
     for (const std::string& item : util::Split(sweep, ',')) {
@@ -391,17 +408,7 @@ int main(int argc, char** argv) {
   // batch by batch, then cross-check the maintained tableau against a
   // from-scratch discovery over the full series (the engine's exactness
   // contract, enforced here on real inputs as a deployment smoke check).
-  auto append_batch = flags.GetIntOr("append_batch", 0);
-  if (!append_batch.ok()) return Fail(append_batch.status().ToString());
-  if (*append_batch < 0) return Fail("--append_batch must be >= 0");
   if (*append_batch > 0) {
-    auto metrics_every = flags.GetIntOr("metrics_every", 0);
-    if (!metrics_every.ok()) return Fail(metrics_every.status().ToString());
-    if (*metrics_every < 0) return Fail("--metrics_every must be >= 0");
-    auto batch_pause_ms = flags.GetIntOr("batch_pause_ms", 0);
-    if (!batch_pause_ms.ok()) return Fail(batch_pause_ms.status().ToString());
-    if (*batch_pause_ms < 0) return Fail("--batch_pause_ms must be >= 0");
-    const std::string tenant = flags.GetStringOr("tenant", "default");
     // Per-tenant/per-generator attribution of the batch latency; the
     // unlabeled incr.batch_seconds recorded inside AppendBatch stays the
     // all-up total. Hoisted here: one family lookup for the whole replay.
@@ -409,7 +416,7 @@ int main(int argc, char** argv) {
         obs::LabeledHistogram("incr.batch_seconds",
                               {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0})
             .With({{"tenant", tenant},
-                   {"generator", flags.GetStringOr("algorithm", "area")}});
+                   {"generator", algorithm_name}});
 
     const int64_t m = *append_batch;
     const series::CountSequence& full = rule->counts();
@@ -476,10 +483,6 @@ int main(int argc, char** argv) {
 
   auto tableau = rule->DiscoverTableau(request);
   if (!tableau.ok()) return Fail(tableau.status().ToString());
-  auto as_json = flags.GetBoolOr("json", false);
-  if (!as_json.ok()) return Fail(as_json.status().ToString());
-  auto want_cover_stats = flags.GetBoolOr("cover_stats", false);
-  if (!want_cover_stats.ok()) return Fail(want_cover_stats.status().ToString());
 
   // Everything past discovery goes through one serialized sink and is
   // flushed as a single write per stream: result output (stdout) first,
@@ -556,8 +559,6 @@ int main(int argc, char** argv) {
               "metrics: " + obs::Registry::Global().Snapshot().ToJson());
   }
 
-  auto severity = flags.GetBoolOr("severity", false);
-  if (!severity.ok()) return Fail(severity.status().ToString());
   if (*severity) {
     sink.Line(kResult, "\nby severity (misplaced mass):");
     for (const core::SeverityEntry& entry :

@@ -9,6 +9,7 @@
 // Perturbation (applied after generation):
 //   --perturb_fraction=<d>  remove d of total outbound at the peak
 //   --loss                  do not compensate (default: delayed, not lost)
+// An unknown flag is an error (exit 2).
 
 #include <cstdio>
 #include <string>
@@ -97,18 +98,22 @@ int main(int argc, char** argv) {
   auto seed = flags.GetIntOr("seed", 12345);
   if (!n.ok()) return Fail(n.status().ToString());
   if (!seed.ok()) return Fail(seed.status().ToString());
+  auto perturb_fraction = flags.GetDoubleOr("perturb_fraction", 0.0);
+  if (!perturb_fraction.ok()) {
+    return Fail(perturb_fraction.status().ToString());
+  }
+  auto loss = flags.GetBoolOr("loss", false);
+  if (!loss.ok()) return Fail(loss.status().ToString());
+  if (util::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "crgen: %s\n", status.ToString().c_str());
+    return 2;
+  }
 
   auto counts =
       Generate(dataset, *n, static_cast<uint64_t>(*seed));
   if (!counts.ok()) return Fail(counts.status().ToString());
 
-  auto perturb_fraction = flags.GetDoubleOr("perturb_fraction", 0.0);
-  if (!perturb_fraction.ok()) {
-    return Fail(perturb_fraction.status().ToString());
-  }
   if (*perturb_fraction > 0.0) {
-    auto loss = flags.GetBoolOr("loss", false);
-    if (!loss.ok()) return Fail(loss.status().ToString());
     datagen::PerturbationSpec spec;
     spec.fraction = *perturb_fraction;
     spec.compensate = !*loss;

@@ -17,7 +17,8 @@
 //       --seed=<s>            simulator seed (default 4242)
 //
 // Exits 0 when every tick was accepted and a final stats poll confirms the
-// daemon processed at least this driver's tick volume.
+// daemon processed at least this driver's tick volume. An unknown flag is
+// an error (exit 2).
 
 #include <algorithm>
 #include <chrono>
@@ -82,6 +83,10 @@ int main(int argc, char** argv) {
   if (!batch.ok() || *batch < 1) return Fail("--batch must be >= 1");
   if (!rate.ok() || *rate < 0) return Fail("--rate must be >= 0");
   if (!seed.ok()) return Fail(seed.status().ToString());
+  if (util::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "crserve_driver: %s\n", status.ToString().c_str());
+    return 2;
+  }
 
   // Build the tenant population: one tenant per observed link direction
   // pair (outbound = a, inbound = b).
@@ -142,6 +147,9 @@ int main(int argc, char** argv) {
         if (ack->status == serve::AckStatus::kOk) break;
         if (ack->status == serve::AckStatus::kShuttingDown) {
           return Fail("daemon is shutting down");
+        }
+        if (ack->status == serve::AckStatus::kInvalid) {
+          return Fail("daemon rejected a batch as invalid");
         }
         ++rejected;
         std::this_thread::sleep_for(std::chrono::milliseconds(2));

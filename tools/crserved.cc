@@ -25,14 +25,17 @@
 //                                 (default true)
 //   --refresh_ms=<ms>             cover refresh / eviction sweep period
 //                                 (default 200; 0 disables)
-//   --max_hot=<n>                 hot-session bound; idle LRU tenants are
-//                                 evicted to the sketch-tier cold store
+//   --max_hot=<n>                 hot-session bound; idle LRU tenants have
+//                                 their sessions dropped and are rebuilt
+//                                 from the raw log on their next append
 //                                 (default 0 = unbounded)
 //
 // Observability:
 //   --metrics_port=<p>            serve /metrics on 127.0.0.1:<p>
 //   --metrics_port_file=<path>    write the bound metrics port atomically
 //   --watchdog_budget_ms=<ms>     stall watchdog over dispatched batches
+//
+// An unknown flag is an error (exit 2).
 //
 // Lifecycle: runs until SIGTERM/SIGINT, then drains every accepted tick,
 // refreshes deferred covers, prints a drain summary and exits 0.
@@ -149,6 +152,7 @@ int main(int argc, char** argv) {
     return Fail("--refresh_ms must be >= 0");
   }
   options.refresh_ms = *refresh_ms;
+  const std::string port_file = flags.GetStringOr("port_file", "");
 
   if (flags.Has("watchdog_budget_ms")) {
     auto budget_ms = flags.GetIntOr("watchdog_budget_ms", 0);
@@ -181,11 +185,15 @@ int main(int argc, char** argv) {
     return Fail("--metrics_port_file requires --metrics_port");
   }
 
+  if (util::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "crserved: %s\n", status.ToString().c_str());
+    return 2;
+  }
+
   serve::ServeDaemon daemon(tenant_config, options);
   if (util::Status status = daemon.Start(); !status.ok()) {
     return Fail(status.ToString());
   }
-  const std::string port_file = flags.GetStringOr("port_file", "");
   if (!port_file.empty()) {
     std::string write_error;
     if (!obs::AtomicWriteFile(port_file, std::to_string(daemon.port()) + "\n",

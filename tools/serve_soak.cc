@@ -83,7 +83,8 @@ void DriveShard(int port, int shard, bool* ok) {
       for (;;) {
         auto ack =
             client.Append(s.id, s.a.data() + s.sent, s.b.data() + s.sent, k);
-        if (!ack.ok() || ack->status == serve::AckStatus::kShuttingDown) {
+        if (!ack.ok() || ack->status == serve::AckStatus::kShuttingDown ||
+            ack->status == serve::AckStatus::kInvalid) {
           *ok = false;
           return;
         }
