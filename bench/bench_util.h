@@ -117,8 +117,8 @@ class BenchJson {
     std::string algorithm;
     std::string model;
     int threads = 1;
-    // SIMD kernel backend the run dispatched to ("scalar" / "avx2" /
-    // "neon"). Machine-dependent provenance, not part of the record key —
+    // SIMD kernel backend the run dispatched to ("scalar" / "avx2").
+    // Machine-dependent provenance, not part of the record key —
     // bench_diff.py drops it.
     std::string backend;
     // End-to-end wall-clock of the run (the regression-tracked quantity).

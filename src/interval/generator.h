@@ -66,8 +66,6 @@ enum class DeltaMode {
 // The emitted candidate set is bit-identical either way — the screen only
 // skips anchors whose per-anchor optimum is provably empty — so this is a
 // pure performance knob (intervals_tested / endpoint_steps may shrink).
-// Also overridable per process via the CONSERVATION_SKETCH env var and per
-// build via -DCONSERVATION_SKETCH=off.
 enum class SketchMode {
   kAuto,
   kOff,

@@ -16,11 +16,11 @@
 // to the sequential run.
 //
 // Batch APIs: the *Batch methods evaluate a run (or index list) of
-// endpoints in one call through the SIMD backends in kernel_simd.h. The
-// backend is resolved once per kernel from the process-wide selection
-// (runtime CPU detection gated by CONSERVATION_SIMD); every backend honours
-// the same bit-identity contract, so batch outputs equal a loop over the
-// scalar calls byte for byte — including out_conf == 0.0 on invalid lanes.
+// endpoints in one call through the loops in kernel_simd.h. Only
+// ConfidenceFromBatch has a second (AVX2) body, chosen once per kernel from
+// the process-wide, CPU-detected backend; both bodies honour the same
+// bit-identity contract, so batch outputs equal a loop over the scalar
+// calls byte for byte — including out_conf == 0.0 on invalid lanes.
 
 #ifndef CONSERVATION_INTERVAL_KERNEL_H_
 #define CONSERVATION_INTERVAL_KERNEL_H_
@@ -86,76 +86,25 @@ class ConfidenceKernel {
 
   // SparseArea(j) for every j in [j0, j1]; out[k] holds j0 + k.
   void SparseAreaBatch(int64_t j0, int64_t j1, double* out) const {
-    const SparseBatchArgs args{sp_, sp_prev_, h_sp_, i_};
-    // Tiny batches (AB's first adaptive-walk windows, where most anchors
-    // stop) don't amortize the vector setup; the scalar reference computes
-    // identical bits, so routing them there is purely a perf decision.
-    if (j1 - j0 + 1 < 8) {
-      SparseAreaBatchScalar(args, j0, j1, out);
-      return;
-    }
-    switch (backend_) {
-#if CONSERVATION_KERNEL_HAVE_AVX2
-      case SimdBackend::kAvx2:
-        avx2::SparseAreaBatch(args, j0, j1, out);
-        return;
-#endif
-#if CONSERVATION_KERNEL_HAVE_NEON
-      case SimdBackend::kNeon:
-        neon::SparseAreaBatch(args, j0, j1, out);
-        return;
-#endif
-      default:
-        SparseAreaBatchScalar(args, j0, j1, out);
-        return;
-    }
+    SparseAreaBatchScalar({sp_, sp_prev_, h_sp_, i_}, j0, j1, out);
   }
 
   // Confidence(j) for every j in [j0, j1]; lane k holds j0 + k.
   // out_valid[k] is 1 iff the denominator is positive; out_conf[k] is the
-  // confidence when valid and exactly 0.0 otherwise (all backends).
+  // confidence when valid and exactly 0.0 otherwise.
   void ConfidenceBatch(int64_t j0, int64_t j1, double* out_conf,
                        uint8_t* out_valid) const {
-    const LeftAnchorBatchArgs args{sa_,  sb_,  sa_prev_, sb_prev_,
-                                   h_a_, h_b_, i_};
-    switch (backend_) {
-#if CONSERVATION_KERNEL_HAVE_AVX2
-      case SimdBackend::kAvx2:
-        avx2::ConfidenceBatch(args, j0, j1, out_conf, out_valid);
-        return;
-#endif
-#if CONSERVATION_KERNEL_HAVE_NEON
-      case SimdBackend::kNeon:
-        neon::ConfidenceBatch(args, j0, j1, out_conf, out_valid);
-        return;
-#endif
-      default:
-        ConfidenceBatchScalar(args, j0, j1, out_conf, out_valid);
-        return;
-    }
+    ConfidenceBatchScalar({sa_, sb_, sa_prev_, sb_prev_, h_a_, h_b_, i_}, j0,
+                          j1, out_conf, out_valid);
   }
 
   // Confidence(js[k]) for an ascending endpoint list (AB-opt breakpoint
   // probes); same output contract as ConfidenceBatch.
   void ConfidenceIndexBatch(const int64_t* js, int64_t count,
                             double* out_conf, uint8_t* out_valid) const {
-    const LeftAnchorBatchArgs args{sa_,  sb_,  sa_prev_, sb_prev_,
-                                   h_a_, h_b_, i_};
-    switch (backend_) {
-#if CONSERVATION_KERNEL_HAVE_AVX2
-      case SimdBackend::kAvx2:
-        avx2::ConfidenceIndexBatch(args, js, count, out_conf, out_valid);
-        return;
-#endif
-#if CONSERVATION_KERNEL_HAVE_NEON
-      case SimdBackend::kNeon:
-        neon::ConfidenceIndexBatch(args, js, count, out_conf, out_valid);
-        return;
-#endif
-      default:
-        ConfidenceIndexBatchScalar(args, js, count, out_conf, out_valid);
-        return;
-    }
+    ConfidenceIndexBatchScalar(
+        {sa_, sb_, sa_prev_, sb_prev_, h_a_, h_b_, i_}, js, count, out_conf,
+        out_valid);
   }
 
   // --- Right-anchored sweeps (NAB): fix endpoint j, vary anchor i ---
@@ -190,24 +139,14 @@ class ConfidenceKernel {
                            double* out_conf, uint8_t* out_valid) const {
     const RightAnchorBatchArgs args{a_,      s_,      sa_, sb_,
                                     sa_end_, sb_end_, j_,  model_};
-    switch (backend_) {
 #if CONSERVATION_KERNEL_HAVE_AVX2
-      case SimdBackend::kAvx2:
-        avx2::ConfidenceFromBatch(args, is, count, out_conf, out_valid);
-        return;
-#endif
-#if CONSERVATION_KERNEL_HAVE_NEON
-      case SimdBackend::kNeon:
-        neon::ConfidenceFromBatch(args, is, count, out_conf, out_valid);
-        return;
-#endif
-      default:
-        ConfidenceFromBatchScalar(args, is, count, out_conf, out_valid);
-        return;
+    if (backend_ == SimdBackend::kAvx2) {
+      avx2::ConfidenceFromBatch(args, is, count, out_conf, out_valid);
+      return;
     }
+#endif
+    ConfidenceFromBatchScalar(args, is, count, out_conf, out_valid);
   }
-
-  SimdBackend backend() const { return backend_; }
 
  private:
   const double* __restrict a_;
@@ -218,7 +157,7 @@ class ConfidenceKernel {
   const bool hold_;
   const bool sparse_balance_;
   // Resolved once per kernel so the per-batch dispatch is a predictable
-  // switch on a register, not an atomic load.
+  // branch on a register, not an atomic load.
   const SimdBackend backend_ = ActiveSimdBackend();
 
   // Left-anchor state (BeginAnchor).

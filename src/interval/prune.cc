@@ -1,10 +1,7 @@
 #include "interval/prune.h"
 
+#include <algorithm>
 #include <bit>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 #include "util/check.h"
 
@@ -12,36 +9,61 @@ namespace conservation::interval::internal {
 
 namespace {
 
-// Case-insensitive parse of the CONSERVATION_SKETCH environment value,
-// resolved once per process. Same contract as CONSERVATION_SIMD: an unknown
-// token is a fatal configuration error, not a silent fallback.
-bool SketchEnvOff() {
-  static const bool off = [] {
-    const char* env = std::getenv("CONSERVATION_SKETCH");
-    if (env == nullptr) return false;
-    char lowered[8];
-    size_t len = 0;
-    bool invalid = false;
-    for (; env[len] != '\0'; ++len) {
-      if (len >= sizeof(lowered) - 1) {
-        invalid = true;
-        break;
-      }
-      lowered[len] = static_cast<char>(
-          std::tolower(static_cast<unsigned char>(env[len])));
+// Left-anchored sketch screen: bit m of the result is 1 when endpoint block
+// b0 + m may hold a passing (i, j) pair for the anchor range in `args`.
+// `count` <= 64. The bound construction: den <= den_ub because
+// SB[j] <= sb_blk_hi, SB[i-1] >= sb_prev_lo, and len * h_b >= hb_min_term
+// (the sign-aware min product over [len_min, len_max] x [h_b_lo, h_b_hi]);
+// mirrored for den_lb / num_ub / num_lb. Each bound is the same single
+// rounding shape as the exact kernel expression it brackets, so per-op
+// round-to-nearest monotonicity keeps the bracketing bitwise sound.
+uint64_t SketchMaybeMask(const SketchScanArgs& args, int64_t b0,
+                         int64_t count) {
+  const double block = static_cast<double>(args.block);
+  const double n = static_cast<double>(args.n);
+  const double i_lo = static_cast<double>(args.i_lo);
+  const double i_hi = static_cast<double>(args.i_hi);
+  const double t = args.threshold;
+  uint64_t maybe = 0;
+  for (int64_t m = 0; m < count; ++m) {
+    const int64_t b = b0 + m;
+    const double j_lo = static_cast<double>(b) * block;
+    const double j_hi = std::min(n, j_lo + (block - 1.0));
+    // Interval length range over the covered (i, j) pairs, clamped to >= 1
+    // so products with infinite h bounds stay +/-inf rather than NaN.
+    const double len_min = std::max(1.0, (j_lo - i_hi) + 1.0);
+    const double len_max = std::max(len_min, (j_hi - i_lo) + 1.0);
+    const double hb_min_term =
+        args.h_b_lo >= 0.0 ? len_min * args.h_b_lo : len_max * args.h_b_lo;
+    const double den_ub = (args.sb_blk_hi[b] - args.sb_prev_lo) - hb_min_term;
+    bool lane;
+    if (args.hold) {
+      const double hb_max_term =
+          args.h_b_hi >= 0.0 ? len_max * args.h_b_hi : len_min * args.h_b_hi;
+      const double ha_min_term =
+          args.h_a_lo >= 0.0 ? len_min * args.h_a_lo : len_max * args.h_a_lo;
+      const double den_lb_raw =
+          (args.sb_blk_lo[b] - args.sb_prev_hi) - hb_max_term;
+      const double den_lb = den_lb_raw < 0.0 ? 0.0 : den_lb_raw;
+      const double num_ub_raw =
+          (args.sa_blk_hi[b] - args.sa_prev_lo) - ha_min_term;
+      const double num_ub = num_ub_raw < 0.0 ? 0.0 : num_ub_raw;
+      // conf <= num_ub / den_lb when den_lb > 0; when den could be 0 the
+      // pair is only a candidate if it can be valid (den_ub > 0) and either
+      // the numerator can be positive or the threshold accepts conf == 0.
+      lane = den_ub > 0.0 && (den_lb > 0.0 ? num_ub / den_lb >= t
+                                           : (num_ub > 0.0 || t <= 0.0));
+    } else {
+      const double ha_max_term =
+          args.h_a_hi >= 0.0 ? len_max * args.h_a_hi : len_min * args.h_a_hi;
+      const double num_lb_raw =
+          (args.sa_blk_lo[b] - args.sa_prev_hi) - ha_max_term;
+      const double num_lb = num_lb_raw < 0.0 ? 0.0 : num_lb_raw;
+      lane = den_ub > 0.0 && num_lb / den_ub <= t;
     }
-    if (!invalid) {
-      const std::string_view value(lowered, len);
-      if (value.empty() || value == "auto") return false;
-      if (value == "off") return true;
-    }
-    std::fprintf(stderr,
-                 "CONSERVATION_SKETCH: unknown value '%s' "
-                 "(expected auto or off)\n",
-                 env);
-    std::exit(2);
-  }();
-  return off;
+    maybe |= static_cast<uint64_t>(lane) << m;
+  }
+  return maybe;
 }
 
 }  // namespace
@@ -52,15 +74,8 @@ int64_t ResolveSketchBlock(const GeneratorOptions& options) {
 }
 
 bool SketchScreenEnabled(const GeneratorOptions& options, int64_t n) {
-#if defined(CONSERVATION_SKETCH_DISABLED)
-  (void)options;
-  (void)n;
-  return false;
-#else
-  if (SketchEnvOff()) return false;
   if (options.sketch == SketchMode::kOff) return false;
   return n >= kSketchAutoGateBlocks * ResolveSketchBlock(options);
-#endif
 }
 
 SketchScreen::SketchScreen(const core::ConfidenceEvaluator& eval,
@@ -74,8 +89,7 @@ SketchScreen::SketchScreen(const core::ConfidenceEvaluator& eval,
       model_(eval.model()),
       hold_(options.type == core::TableauType::kHold),
       n_(eval.series().n()),
-      block_(sketch.block()),
-      backend_(ActiveSimdBackend()) {
+      block_(sketch.block()) {
   CR_CHECK(sketch.n() == n_);
   CR_CHECK(block_ > 0);
   // Same rounding as PassesRelaxedThreshold / PassesExactThreshold: the
@@ -118,7 +132,7 @@ SketchScreen::SketchScreen(const core::ConfidenceEvaluator& eval,
       sketch_.RangeBounds(SeriesSketch::kS, i_lo, i_hi, &gap_lo, &gap_hi);
       // gap_hi may be +infinity when the covering blocks reach the
       // suffix sentinel; the resulting infinite h bound only widens the
-      // screen (kernel_simd.h keeps the arithmetic NaN-free).
+      // screen (SketchMaybeMask keeps the arithmetic NaN-free).
       if (model_ == core::ConfidenceModel::kCredit) {
         args.h_a_lo = prev_lo - gap_hi;
         args.h_a_hi = prev_hi - gap_lo;
@@ -137,25 +151,9 @@ SketchScreen::SketchScreen(const core::ConfidenceEvaluator& eval,
     for (int64_t b = i_lo / block_; b <= b_end && !mixed; b += 64) {
       const int64_t count = std::min<int64_t>(64, b_end - b + 1);
       construction_blocks_ += static_cast<uint64_t>(count);
-      mixed = ScanLeftChunk(args, b, count) != 0;
+      mixed = SketchMaybeMask(args, b, count) != 0;
     }
     group_mixed_[static_cast<size_t>(g)] = mixed ? 1 : 0;
-  }
-}
-
-uint64_t SketchScreen::ScanLeftChunk(const SketchScanArgs& args, int64_t b0,
-                                     int64_t count) const {
-  switch (backend_) {
-#if CONSERVATION_KERNEL_HAVE_AVX2
-    case SimdBackend::kAvx2:
-      return avx2::SketchMaybeMask(args, b0, count);
-#endif
-#if CONSERVATION_KERNEL_HAVE_NEON
-    case SimdBackend::kNeon:
-      return neon::SketchMaybeMask(args, b0, count);
-#endif
-    default:
-      return SketchMaybeMaskScalar(args, b0, count);
   }
 }
 
@@ -232,7 +230,7 @@ bool SketchScreen::MayEmit(int64_t i, uint64_t* scan_blocks) const {
   while (b <= b_end) {
     if (scanned >= kAnchorScanCap) return true;  // deterministic give-up
     const int64_t count = std::min<int64_t>(64, b_end - b + 1);
-    const uint64_t mask = ScanLeftChunk(args, b, count);
+    const uint64_t mask = SketchMaybeMask(args, b, count);
     scanned += count;
     *scan_blocks += static_cast<uint64_t>(count);
     if (mask == 0) {

@@ -21,11 +21,8 @@
 // never correctness.
 //
 // Determinism: every verdict is a pure function of (series, sketch,
-// options, anchor). The SIMD backends in kernel_simd.h compute lanewise
-// bit-identical maybe-masks, and block accounting is chunk-granular, so
-// decisions AND counters are invariant across thread counts, chunkings,
-// and CONSERVATION_SIMD settings — the cross-backend equality assertions in
-// tests/kernel_batch_test.cc keep holding with the screen enabled.
+// options, anchor), and block accounting is chunk-granular, so decisions
+// AND counters are invariant across thread counts and chunkings.
 
 #ifndef CONSERVATION_INTERVAL_PRUNE_H_
 #define CONSERVATION_INTERVAL_PRUNE_H_
@@ -36,7 +33,6 @@
 
 #include "core/confidence.h"
 #include "interval/generator.h"
-#include "interval/kernel_simd.h"
 #include "series/sketch.h"
 
 namespace conservation::interval::internal {
@@ -53,11 +49,8 @@ namespace conservation::interval::internal {
 // asserts the overhead side of this trade-off at the gate boundary.
 inline constexpr int64_t kSketchAutoGateBlocks = 2;
 
-// Whether the sketch screen should run for this call. Resolution order:
-// build-time -DCONSERVATION_SKETCH=off, then the CONSERVATION_SKETCH
-// environment variable (auto | off, case-insensitive; an unknown token is a
-// fatal configuration error, mirroring CONSERVATION_SIMD), then
-// options.sketch, then the auto gate n >= kSketchAutoGateBlocks *
+// Whether the sketch screen should run for this call: never when
+// options.sketch is kOff, else the auto gate n >= kSketchAutoGateBlocks *
 // sketch_block (shorter series cannot amortize sketch construction, and the
 // gate keeps tiny unit-test fixtures on the unscreened path).
 bool SketchScreenEnabled(const GeneratorOptions& options, int64_t n);
@@ -65,6 +58,34 @@ bool SketchScreenEnabled(const GeneratorOptions& options, int64_t n);
 // The block span the screen (and any transient sketch) should use:
 // options.sketch_block when positive, else SeriesSketch::kDefaultBlock.
 int64_t ResolveSketchBlock(const GeneratorOptions& options);
+
+// One block-scan request: "could any (anchor, endpoint) pair touching
+// these sketch blocks pass the threshold?", answered from the block
+// quantization maps (series/sketch.h). A scan's bit m covers sketch block
+// b0 + m and is 1 when the block MAY contain a passing pair — never 0 for a
+// block that does, which is the screen's no-false-negative guarantee
+// (DESIGN.md §4f derives the bounds). Anchors i lie in [i_lo, i_hi] (a
+// single anchor when i_lo == i_hi, with the sa_prev/sb_prev/h ranges
+// collapsed to the exact hoisted scalars of BeginAnchor); endpoints j are
+// grouped by sketch block.
+struct SketchScanArgs {
+  // Per-endpoint-block bounds on SA and SB (sketch block maps).
+  const double* sa_blk_lo;
+  const double* sa_blk_hi;
+  const double* sb_blk_lo;
+  const double* sb_blk_hi;
+  // Anchor-side ranges: exact scalars for a single-anchor test (lo == hi)
+  // or sketch-derived bounds for a whole anchor group.
+  double sa_prev_lo, sa_prev_hi;
+  double sb_prev_lo, sb_prev_hi;
+  double h_a_lo, h_a_hi;
+  double h_b_lo, h_b_hi;
+  int64_t i_lo, i_hi;  // anchor index range
+  int64_t block;       // ticks per sketch block
+  int64_t n;           // endpoint ceiling (j <= n)
+  double threshold;    // acceptance constant t
+  bool hold;           // hold: pass is conf >= t; fail: conf <= t
+};
 
 class SketchScreen {
  public:
@@ -90,16 +111,14 @@ class SketchScreen {
  private:
   // Per-anchor sketch scans in mixed groups give up after this many blocks
   // and conservatively report "may emit". A deterministic cap: the scan
-  // order and the first maybe-block are backend-invariant, so the cap
-  // triggers identically everywhere.
+  // order and the first maybe-block are fixed, so the cap triggers
+  // identically everywhere.
   static constexpr int64_t kAnchorScanCap = 512;
   // Per-tick code refinements allowed per anchor: on a
   // map-level maybe block, decode the 1-byte codes and retest per tick;
   // a killed block lets the scan continue past it.
   static constexpr int kRefineBudget = 2;
 
-  uint64_t ScanLeftChunk(const SketchScanArgs& args, int64_t b0,
-                         int64_t count) const;
   // True when, after decoding the per-tick codes of endpoint block b, some
   // endpoint j in it still may pass for the exact anchor scalars in `args`.
   bool RefineLeftBlock(const SketchScanArgs& args, int64_t b) const;
@@ -114,7 +133,6 @@ class SketchScreen {
   double threshold_ = 0.0;
   int64_t n_ = 0;
   int64_t block_ = 0;
-  SimdBackend backend_ = SimdBackend::kScalar;
   // 1 = mixed (anchors need individual scans), 0 = whole group pruned.
   std::vector<uint8_t> group_mixed_;
   uint64_t construction_blocks_ = 0;

@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -76,19 +75,6 @@ struct ServeMetrics {
     return metrics;
   }
 };
-
-// Admission check on an append's counts. The session's arithmetic assumes
-// every count is finite and non-negative: a NaN or infinite count breaks
-// the monitor's invariants and a negative one breaks dominance filtering.
-enum class CountCheck { kValid, kNonFinite, kNegative };
-
-CountCheck CheckCounts(const std::vector<double>& counts) {
-  for (const double x : counts) {
-    if (!std::isfinite(x)) return CountCheck::kNonFinite;
-    if (x < 0.0) return CountCheck::kNegative;
-  }
-  return CountCheck::kValid;
-}
 
 bool SendAll(int fd, const char* data, size_t size) {
   size_t sent = 0;
@@ -348,8 +334,7 @@ void ServeDaemon::AdmitAppendLocked(const AppendFrame& append, AckFrame* ack) {
     metrics.appends_rejected.Increment();
     return;
   }
-  CountCheck check = CheckCounts(append.a);
-  if (check == CountCheck::kValid) check = CheckCounts(append.b);
+  const CountCheck check = CheckCounts(append.a.data(), append.b.data(), m);
   if (check != CountCheck::kValid) {
     // Only this frame is dropped; the tenant is not even created.
     ack->status = AckStatus::kInvalid;
@@ -369,7 +354,8 @@ void ServeDaemon::AdmitAppendLocked(const AppendFrame& append, AckFrame* ack) {
     metrics.appends_rejected.Increment();
     return;
   }
-  registry_.Enqueue(tenant, append.a.data(), append.b.data(), m);
+  CR_CHECK(registry_.Enqueue(tenant, append.a.data(), append.b.data(), m)
+               .ok());  // counts validated above
   global_queue_ticks_ += m;
   ++stats_.appends_accepted;
   stats_.ticks_ingested += static_cast<uint64_t>(m);

@@ -1,6 +1,7 @@
 #include "serve/tenant_registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -25,6 +26,16 @@ obs::Counter& EvictionCounter() {
 
 }  // namespace
 
+CountCheck CheckCounts(const double* a, const double* b, int64_t m) {
+  for (const double* counts : {a, b}) {
+    for (int64_t k = 0; k < m; ++k) {
+      if (!std::isfinite(counts[k])) return CountCheck::kNonFinite;
+      if (counts[k] < 0.0) return CountCheck::kNegative;
+    }
+  }
+  return CountCheck::kValid;
+}
+
 TenantRegistry::TenantRegistry(const TenantConfig& config) : config_(config) {
   CR_CHECK(!config_.request.stop_on_full_cover);
 }
@@ -44,8 +55,16 @@ Tenant* TenantRegistry::Find(uint64_t id) {
   return it == tenants_.end() ? nullptr : it->second.get();
 }
 
-void TenantRegistry::Enqueue(Tenant& tenant, const double* a, const double* b,
-                             int64_t m) {
+util::Status TenantRegistry::Enqueue(Tenant& tenant, const double* a,
+                                     const double* b, int64_t m) {
+  switch (CheckCounts(a, b, m)) {
+    case CountCheck::kNonFinite:
+      return util::Status::InvalidArgument("non-finite count in append");
+    case CountCheck::kNegative:
+      return util::Status::InvalidArgument("negative count in append");
+    case CountCheck::kValid:
+      break;
+  }
   for (int64_t k = 0; k < m; ++k) {
     double fa = a[k];
     double fb = b[k];
@@ -55,6 +74,7 @@ void TenantRegistry::Enqueue(Tenant& tenant, const double* a, const double* b,
     tenant.pend_a.push_back(fa);
     tenant.pend_b.push_back(fb);
   }
+  return util::Status::Ok();
 }
 
 int64_t TenantRegistry::PrepareDispatch(Tenant& tenant, std::vector<double>* a,

@@ -44,6 +44,14 @@
 
 namespace conservation::serve {
 
+// Admission check on a batch of counts. The session's arithmetic assumes
+// every count is finite and non-negative: a NaN or infinite count poisons
+// the dominance filter's running totals (every later tick would filter to
+// b = 0 and abort the streaming monitor), and a negative one breaks
+// dominance filtering. All of `a` is checked before any of `b`.
+enum class CountCheck { kValid, kNonFinite, kNegative };
+CountCheck CheckCounts(const double* a, const double* b, int64_t m);
+
 // Streaming mirror of series::EnforceDominance: feeding ticks one at a
 // time produces exactly the batch function's outputs (same carried
 // cumulative state, same min/max/rounding guards), so a tenant's filtered
@@ -63,6 +71,8 @@ class DominanceFilter {
     prev_a_cum_ = a_cum;
     prev_b_cum_ = b_cum;
   }
+
+  bool operator==(const DominanceFilter&) const = default;
 
  private:
   double prev_a_cum_ = 0.0;
@@ -132,7 +142,11 @@ class TenantRegistry {
   Tenant* Find(uint64_t id);
 
   // Filters and appends m raw ticks to the tenant's log + pending queue.
-  void Enqueue(Tenant& tenant, const double* a, const double* b, int64_t m);
+  // The whole batch is validated first (CheckCounts): a batch holding any
+  // NaN, infinite or negative count returns InvalidArgument and leaves the
+  // filter, the log and the queue untouched.
+  util::Status Enqueue(Tenant& tenant, const double* a, const double* b,
+                       int64_t m);
 
   // Dispatch is split so the expensive half can run outside the daemon's
   // mutex while readers keep appending to the same tenant:

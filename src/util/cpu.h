@@ -2,11 +2,9 @@
 // (interval/kernel_simd.h).
 //
 // Detection runs once per process (CpuInfo caches it) and answers only the
-// questions the kernels ask: "may I execute AVX2 instructions?" on x86-64
-// and "may I execute Advanced SIMD instructions?" on AArch64. Everything
-// else about backend choice — what was compiled in, what the
-// CONSERVATION_SIMD build option allows — is layered on top by the
-// interval layer; this header is pure hardware capability.
+// question the kernels ask: "may I execute AVX2 instructions?" on x86-64.
+// Whether the AVX2 body was compiled in is layered on top by the interval
+// layer; this header is pure hardware capability.
 
 #ifndef CONSERVATION_UTIL_CPU_H_
 #define CONSERVATION_UTIL_CPU_H_
@@ -16,20 +14,14 @@ namespace conservation::util {
 struct CpuFeatures {
   // x86-64: AVX2 (256-bit integer + double lanes, vector gathers).
   bool avx2 = false;
-  // AArch64: Advanced SIMD (NEON). Architecturally mandatory for AArch64,
-  // so this is true on every 64-bit ARM build.
-  bool neon = false;
 };
 
 inline CpuFeatures DetectCpuFeatures() {
   CpuFeatures features;
-#if defined(__x86_64__) || defined(__i386__)
-#if defined(__GNUC__) || defined(__clang__)
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
   __builtin_cpu_init();
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
-#endif
-#elif defined(__aarch64__)
-  features.neon = true;
 #endif
   return features;
 }

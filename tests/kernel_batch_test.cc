@@ -1,5 +1,6 @@
-// Differential tests for the batch SIMD confidence kernels
-// (interval/kernel_simd.h): every backend must reproduce the scalar
+// Differential tests for the batch confidence kernels
+// (interval/kernel_simd.h): every batch form, on both backends (the AVX2
+// ConfidenceFromBatch body where the CPU has it), must reproduce the scalar
 // kernel — and therefore core::ConfidenceEvaluator — bit for bit, on
 // every model × tableau-type × series-shape combination, including the
 // ragged tails shorter than a vector width (this suite also runs in the
@@ -53,7 +54,7 @@ class BackendGuard {
 };
 
 // Backends exercised on this machine: the portable scalar reference plus
-// whatever the runtime dispatch selected (avx2 / neon / scalar). Forcing a
+// whatever the runtime dispatch selected (avx2 / scalar). Forcing a
 // backend the CPU cannot execute would fault, so only the dispatched one
 // is added.
 std::vector<SimdBackend> TestableBackends() {
@@ -288,24 +289,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kFamilies),
                        ::testing::ValuesIn(kModels),
                        ::testing::ValuesIn(kTypes)));
-
-// CONSERVATION_SIMD request parsing (kernel_simd.h).
-TEST(SimdRequestParse, CaseInsensitiveAndStrict) {
-  using interval::internal::ParseSimdRequest;
-  using interval::internal::SimdRequest;
-  EXPECT_EQ(ParseSimdRequest(nullptr), SimdRequest::kAuto);
-  EXPECT_EQ(ParseSimdRequest(""), SimdRequest::kAuto);
-  EXPECT_EQ(ParseSimdRequest("auto"), SimdRequest::kAuto);
-  EXPECT_EQ(ParseSimdRequest("AUTO"), SimdRequest::kAuto);
-  EXPECT_EQ(ParseSimdRequest("off"), SimdRequest::kScalar);
-  EXPECT_EQ(ParseSimdRequest("OFF"), SimdRequest::kScalar);
-  EXPECT_EQ(ParseSimdRequest("Scalar"), SimdRequest::kScalar);
-  EXPECT_EQ(ParseSimdRequest("AVX2"), SimdRequest::kAvx2);
-  EXPECT_EQ(ParseSimdRequest("Neon"), SimdRequest::kNeon);
-  EXPECT_EQ(ParseSimdRequest("sse9"), SimdRequest::kInvalid);
-  EXPECT_EQ(ParseSimdRequest("avx512"), SimdRequest::kInvalid);
-  EXPECT_EQ(ParseSimdRequest("a-very-long-token"), SimdRequest::kInvalid);
-}
 
 }  // namespace
 }  // namespace conservation

@@ -366,6 +366,63 @@ TEST(ServeDaemon, InvalidCountsRejectedPerFrame) {
   EXPECT_EQ(negative.Value() - negative_before, 2u);
 }
 
+// The library ingest path validates too: TenantRegistry::Enqueue refuses a
+// batch with a NaN, infinite or negative count before it touches the
+// dominance filter, the log or the queue. Unvalidated, a NaN would poison
+// the filter's running totals and abort ApplyPending in the streaming
+// monitor. A refused batch leaves no trace, so later valid appends still
+// match from-scratch discovery bit for bit.
+TEST(TenantRegistry, EnqueueRefusesInvalidCountsWithoutSideEffects) {
+  serve::TenantRegistry registry(TestTenantConfig());
+  serve::Tenant& tenant = registry.GetOrCreate(7);
+  const series::CountSequence counts =
+      testing_util::RandomDominatedCounts(/*seed=*/13, 64);
+  const std::vector<double>& a = counts.outbound();
+  const std::vector<double>& b = counts.inbound();
+  ASSERT_TRUE(registry.Enqueue(tenant, a.data(), b.data(), 32).ok());
+  registry.ApplyPending(tenant);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bad[][2] = {{nan, 1.0}, {1.0, inf}, {-1.0, 0.0}};
+  for (const auto& tick : bad) {
+    // Alone, and as the last tick of an otherwise valid batch.
+    std::vector<double> batch_a(a.begin() + 32, a.begin() + 36);
+    std::vector<double> batch_b(b.begin() + 32, b.begin() + 36);
+    batch_a.push_back(tick[0]);
+    batch_b.push_back(tick[1]);
+    for (const size_t skip : {size_t{4}, size_t{0}}) {
+      const serve::DominanceFilter filter_before = tenant.filter;
+      const std::vector<double> log_a_before = tenant.log_a;
+      const std::vector<double> log_b_before = tenant.log_b;
+      const util::Status status =
+          registry.Enqueue(tenant, batch_a.data() + skip,
+                           batch_b.data() + skip,
+                           static_cast<int64_t>(batch_a.size() - skip));
+      EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+          << tick[0] << "," << tick[1] << " skip=" << skip;
+      EXPECT_TRUE(tenant.filter == filter_before);
+      EXPECT_EQ(tenant.log_a, log_a_before);
+      EXPECT_EQ(tenant.log_b, log_b_before);
+      EXPECT_TRUE(tenant.pend_a.empty());
+      EXPECT_TRUE(tenant.pend_b.empty());
+      EXPECT_EQ(registry.ApplyPending(tenant), 0);
+    }
+  }
+
+  ASSERT_TRUE(registry.Enqueue(tenant, a.data() + 32, b.data() + 32, 32).ok());
+  EXPECT_EQ(registry.ApplyPending(tenant), 32);
+  ASSERT_NE(tenant.session, nullptr);
+  registry.RefreshCover(tenant);
+  const series::CumulativeSeries cumulative(counts);
+  const core::ConfidenceEvaluator eval(&cumulative,
+                                       core::ConfidenceModel::kBalance);
+  auto fresh = core::DiscoverTableau(eval, TestTenantConfig().request);
+  ASSERT_TRUE(fresh.ok());
+  ExpectSameTableau(tenant.session->tableau(), fresh.value(),
+                    " registry-invalid");
+}
+
 TEST(ServeDaemon, EvictionAndRefaultPreserveTableauBitwise) {
   serve::TenantConfig config = TestTenantConfig();
   serve::DaemonOptions options;

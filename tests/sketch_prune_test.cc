@@ -2,13 +2,13 @@
 // (interval/prune.h): with the screen on, every generator must emit a
 // candidate set bit-identical to its unscreened run — on every model ×
 // tableau-type × epsilon × series-family combination, at every thread
-// count, on every SIMD backend — because the screen only
-// skips anchors whose per-anchor optimum is provably empty. The suite
-// also checks the screen's soundness invariant directly (every emitted
-// candidate's anchor must survive MayEmit), the prune-counter extremes
-// (all-pruned and none-pruned adversarial families), determinism of the
-// new counters across thread counts, and the sketch encoder's degenerate
-// blocks (constant values, the +infinity suffix sentinel).
+// count — because the screen only skips anchors whose per-anchor optimum
+// is provably empty. The suite also checks the screen's soundness
+// invariant directly (every emitted candidate's anchor must survive
+// MayEmit), the prune-counter extremes (all-pruned and none-pruned
+// adversarial families), determinism of the new counters across thread
+// counts, and the sketch encoder's degenerate blocks (constant values, the
+// +infinity suffix sentinel).
 //
 // This suite also runs under the ASan/TSan ctest configurations
 // (tools/sanitizer_smoke.sh) to cover the shared read-only screen.
@@ -26,7 +26,6 @@
 #include "core/confidence.h"
 #include "core/model.h"
 #include "interval/generator.h"
-#include "interval/kernel_simd.h"
 #include "interval/prune.h"
 #include "series/sketch.h"
 #include "test_data.h"
@@ -43,29 +42,9 @@ using interval::Candidate;
 using interval::GeneratorOptions;
 using interval::GeneratorStats;
 using interval::SketchMode;
-using interval::internal::ActiveSimdBackend;
 using interval::internal::ScopedSketchScreen;
-using interval::internal::SetSimdBackendForTest;
-using interval::internal::SimdBackend;
-using interval::internal::SimdBackendName;
 using interval::internal::SketchScreenEnabled;
 using series::SeriesSketch;
-
-class BackendGuard {
- public:
-  BackendGuard() : saved_(ActiveSimdBackend()) {}
-  ~BackendGuard() { SetSimdBackendForTest(saved_); }
-
- private:
-  const SimdBackend saved_;
-};
-
-std::vector<SimdBackend> TestableBackends() {
-  std::vector<SimdBackend> backends{SimdBackend::kScalar};
-  const SimdBackend active = ActiveSimdBackend();
-  if (active != SimdBackend::kScalar) backends.push_back(active);
-  return backends;
-}
 
 // Adversarial families for the screen:
 //   low_conf_hold - b is a fat Poisson stream, a only a few isolated
@@ -165,7 +144,6 @@ TEST_P(SketchPruneDifferential, CandidatesIdenticalAcrossEverything) {
                                     ConfidenceModel::kCredit,
                                     ConfidenceModel::kDebit};
 
-  BackendGuard guard;
   for (const ConfidenceModel model : models) {
     const ConfidenceEvaluator eval(&cumulative, model);
     for (const AlgorithmKind kind : kinds) {
@@ -194,21 +172,15 @@ TEST_P(SketchPruneDifferential, CandidatesIdenticalAcrossEverything) {
               generator->GenerateCandidates(eval, options, &seq_stats);
           ExpectSameCandidates(screened, baseline);
         }
-        for (const SimdBackend backend : TestableBackends()) {
-          SetSimdBackendForTest(backend);
-          SCOPED_TRACE(std::string("backend=") + SimdBackendName(backend));
-          for (const int threads : {1, 3}) {
-            options.num_threads = threads;
-            GeneratorStats stats;
-            const std::vector<Candidate> screened =
-                generator->GenerateCandidates(eval, options, &stats);
-            ExpectSameCandidates(screened, baseline);
-            // Screen decisions are pure functions of (series, options,
-            // anchor): the prune counter must not depend on threading or
-            // backend.
-            EXPECT_EQ(stats.anchors_pruned, seq_stats.anchors_pruned);
-          }
-          SetSimdBackendForTest(SimdBackend::kScalar);
+        for (const int threads : {1, 3}) {
+          options.num_threads = threads;
+          GeneratorStats stats;
+          const std::vector<Candidate> screened =
+              generator->GenerateCandidates(eval, options, &stats);
+          ExpectSameCandidates(screened, baseline);
+          // Screen decisions are pure functions of (series, options,
+          // anchor): the prune counter must not depend on threading.
+          EXPECT_EQ(stats.anchors_pruned, seq_stats.anchors_pruned);
         }
         options.num_threads = 1;
       }
@@ -307,17 +279,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SketchScreenSoundness,
 TEST(SketchGate, AutoGateAndExplicitOff) {
   GeneratorOptions options;
   options.sketch_block = 256;
-  // The env override is not set in the test harness, so resolution falls
-  // through to options + the auto gate.
-#ifdef CONSERVATION_SKETCH_DISABLED
-  EXPECT_FALSE(SketchScreenEnabled(options, 4096));
-#else
   EXPECT_TRUE(SketchScreenEnabled(options, 4096));
   EXPECT_TRUE(SketchScreenEnabled(options, 512));
   EXPECT_FALSE(SketchScreenEnabled(options, 511));  // n < 2 * block
   options.sketch = SketchMode::kOff;
   EXPECT_FALSE(SketchScreenEnabled(options, 4096));
-#endif
 }
 
 // --- Quantization edge cases (satellite d) ---------------------------------

@@ -23,7 +23,7 @@
 //                  load-balance knob only, results identical for every value
 //   --sketch=auto|off  quantized-sketch anchor screen (default auto);
 //                  conservative pre-pass only, candidates are bit-identical
-//                  for both settings (env CONSERVATION_SKETCH overrides)
+//                  for both settings
 //   --sketch_block=<t> ticks per sketch block (default 256)
 // Incremental replay (DESIGN.md §4g):
 //   --append_batch=<m>  replay the input through the incremental engine in
@@ -549,8 +549,8 @@ int main(int argc, char** argv) {
   }
   if (want_metrics && obs_guard.metrics_path.empty()) {
     // Diagnostic channel only: the selected backend is machine provenance
-    // and must not reach the result stream, which stays byte-identical
-    // across CONSERVATION_SIMD builds (tools/stdout_regression.sh).
+    // and must not reach the result stream, which stays byte-identical on
+    // every CPU.
     sink.Line(kDiagnostic,
               std::string("kernel backend: ") +
                   interval::internal::SimdBackendName(

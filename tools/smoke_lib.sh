@@ -1,8 +1,8 @@
 # Shared helpers for the smoke / regression shell wrappers
-# (sanitizer_smoke.sh, stdout_regression.sh, simd_off_smoke.sh). Sourced,
-# not executed — each function is a small, composable step so the wrappers
-# stay single-screen descriptions of *what* they check rather than how a
-# variant build tree is produced.
+# (sanitizer_smoke.sh, stdout_regression.sh). Sourced, not executed — each
+# function is a small, composable step so the wrappers stay single-screen
+# descriptions of *what* they check rather than how a variant build tree is
+# produced.
 #
 # Usage (from a script in tools/):
 #   source "$(dirname "$0")/smoke_lib.sh"
@@ -16,8 +16,8 @@ smoke_repo_root() {
 # Configures a variant build tree and builds one target in it:
 #   smoke_build_variant BUILD_DIR TARGET [CMAKE_ARG...]
 # Extra arguments are passed to the configure step (e.g.
-# -DCONSERVATION_SANITIZE=thread, -DCONSERVATION_SIMD=off). Incremental:
-# re-running against a warm tree only rebuilds what changed.
+# -DCONSERVATION_SANITIZE=thread). Incremental: re-running against a warm
+# tree only rebuilds what changed.
 smoke_build_variant() {
   local build_dir="$1" target="$2"
   shift 2

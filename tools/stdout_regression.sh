@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Stdout bit-identity regression for crdiscover across thread counts and,
-# optionally, across SIMD kernel backends.
+# optionally, with the sketch screen on and off.
 #
 # The discovery pipeline guarantees thread-count-independent results
 # (DESIGN.md "Parallel execution"), and the obs::Sink routing guarantees
@@ -11,36 +11,42 @@
 # any two runs (even at the same thread count) and are zeroed before the
 # comparison — every counter field stays under the bit-identity contract.
 #
-# When a second binary is given (a crdiscover from a CONSERVATION_SIMD=off
-# build tree), its stdout is diffed against the first binary's: the batch
-# kernels' bit-identity contract (interval/kernel_simd.h) makes the result
-# stream independent of the dispatched backend, so a vectorized build and a
-# scalar-only build must agree byte for byte too.
+# Extra arguments (e.g. --sketch_block=8) are appended to every run. When
+# any are given, one more run adds --sketch=off and is diffed against the
+# others: the sketch screen only skips anchors that cannot emit, so stdout
+# must not change. Its `generation: ... tested=` count on stderr must also
+# be strictly higher than the screened run's, which proves the screen ran.
 #
-# Usage: tools/stdout_regression.sh CRDISCOVER_BINARY INPUT_CSV [OFF_BINARY]
+# Usage: tools/stdout_regression.sh CRDISCOVER_BINARY INPUT_CSV [ARG...]
 set -euo pipefail
 source "$(dirname "$0")/smoke_lib.sh"
 
-if [[ $# -lt 2 || $# -gt 3 ]]; then
-  echo "usage: stdout_regression.sh CRDISCOVER_BINARY INPUT_CSV [OFF_BINARY]" >&2
+if [[ $# -lt 2 ]]; then
+  echo "usage: stdout_regression.sh CRDISCOVER_BINARY INPUT_CSV [ARG...]" >&2
   exit 2
 fi
 crdiscover="$1"
 input="$2"
-off_binary="${3:-}"
+shift 2
+extra_args=("$@")
 
 smoke_tmp_workdir
 workdir="${SMOKE_WORKDIR}"
 
 common_args=(--input="${input}" --type=fail --c_hat=0.3 --s_hat=0.02
-             --cover_stats --severity)
+             --cover_stats --severity "${extra_args[@]}")
 
 zero_timings() {
   sed -E 's/"(seed_seconds|select_seconds|seconds)":[0-9.eE+-]+/"\1":0/g'
 }
 
+tested_count() {
+  sed -nE 's/^generation: .* tested=([0-9]+) .*/\1/p' "$1"
+}
+
 for threads in 1 2 4; do
-  "${crdiscover}" "${common_args[@]}" --threads="${threads}" 2> /dev/null \
+  "${crdiscover}" "${common_args[@]}" --threads="${threads}" \
+    2> "${workdir}/stderr_t${threads}.txt" \
     | zero_timings > "${workdir}/stdout_t${threads}.txt"
 done
 
@@ -53,21 +59,32 @@ for threads in 2 4; do
   fi
 done
 
-if [[ -n "${off_binary}" ]]; then
-  "${off_binary}" "${common_args[@]}" --threads=1 2> /dev/null \
-    | zero_timings > "${workdir}/stdout_simd_off.txt"
-  if ! cmp -s "${workdir}/stdout_t1.txt" "${workdir}/stdout_simd_off.txt"; then
-    echo "FAIL: stdout differs between SIMD and CONSERVATION_SIMD=off builds:" >&2
-    diff "${workdir}/stdout_t1.txt" "${workdir}/stdout_simd_off.txt" >&2 || true
-    status=1
-  fi
+if [[ ${#extra_args[@]} -eq 0 ]]; then
+  [[ ${status} -eq 0 ]] && echo "OK: stdout bit-identical across --threads=1,2,4"
+  exit ${status}
+fi
+
+"${crdiscover}" "${common_args[@]}" --sketch=off --threads=1 \
+  2> "${workdir}/stderr_off.txt" \
+  | zero_timings > "${workdir}/stdout_off.txt"
+if ! cmp -s "${workdir}/stdout_t1.txt" "${workdir}/stdout_off.txt"; then
+  echo "FAIL: stdout differs between the screened and --sketch=off runs:" >&2
+  diff "${workdir}/stdout_t1.txt" "${workdir}/stdout_off.txt" >&2 || true
+  status=1
+fi
+screened="$(tested_count "${workdir}/stderr_t1.txt")"
+unscreened="$(tested_count "${workdir}/stderr_off.txt")"
+if [[ -z "${screened}" || -z "${unscreened}" ]]; then
+  echo "FAIL: no 'generation: ... tested=' line on stderr" >&2
+  status=1
+elif (( screened >= unscreened )); then
+  echo "FAIL: the screen did not run: tested=${screened} with" \
+       "${extra_args[*]}, tested=${unscreened} with --sketch=off" >&2
+  status=1
 fi
 
 if [[ ${status} -eq 0 ]]; then
-  if [[ -n "${off_binary}" ]]; then
-    echo "OK: stdout bit-identical across --threads=1,2,4 and SIMD backends"
-  else
-    echo "OK: stdout bit-identical across --threads=1,2,4"
-  fi
+  echo "OK: stdout bit-identical across --threads=1,2,4 and --sketch=off" \
+       "(tested=${screened} screened vs ${unscreened} unscreened)"
 fi
 exit ${status}
