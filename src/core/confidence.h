@@ -63,15 +63,6 @@ class ConfidenceEvaluator {
     return raw < 0.0 ? 0.0 : raw;
   }
 
-  // The *balance-model* numerator area, regardless of this evaluator's
-  // model. The credit-model fail-tableau algorithm (paper §III.D) anchors
-  // its sparse endpoints on this quantity while still testing conf_c.
-  double AreaABalance(int64_t i, int64_t j) const {
-    const double raw = series_->SumA(i, j) -
-                       static_cast<double>(j - i + 1) * series_->A(i - 1);
-    return raw < 0.0 ? 0.0 : raw;
-  }
-
   // conf(i,j); nullopt when the denominator is not positive (the paper
   // leaves the confidence undefined there).
   std::optional<double> Confidence(int64_t i, int64_t j) const {

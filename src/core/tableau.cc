@@ -1,5 +1,6 @@
 #include "core/tableau.h"
 
+#include <cmath>
 #include <utility>
 
 #include "cover/partial_set_cover.h"
@@ -13,30 +14,27 @@
 namespace conservation::core {
 
 util::Status ValidateTableauRequest(const TableauRequest& request) {
-  if (request.c_hat < 0.0 || request.c_hat > 1.0) {
+  // Written so that NaN fails every check: a NaN compares false both ways.
+  if (!(request.c_hat >= 0.0 && request.c_hat <= 1.0)) {
     return util::Status::InvalidArgument(
         util::StrFormat("c_hat must be in [0, 1], got %g", request.c_hat));
   }
-  if (request.s_hat < 0.0 || request.s_hat > 1.0) {
+  if (!(request.s_hat >= 0.0 && request.s_hat <= 1.0)) {
     return util::Status::InvalidArgument(
         util::StrFormat("s_hat must be in [0, 1], got %g", request.s_hat));
   }
   const bool approximate =
       request.algorithm != interval::AlgorithmKind::kExhaustive;
-  if (approximate && request.epsilon <= 0.0) {
+  if (approximate &&
+      !(request.epsilon > 0.0 && std::isfinite(request.epsilon))) {
     return util::Status::InvalidArgument(util::StrFormat(
-        "epsilon must be > 0 for %s",
-        interval::AlgorithmKindName(request.algorithm)));
+        "epsilon must be finite and > 0 for %s, got %g",
+        interval::AlgorithmKindName(request.algorithm), request.epsilon));
   }
   if (request.num_threads < 0) {
     return util::Status::InvalidArgument(util::StrFormat(
         "num_threads must be >= 0 (0 = hardware concurrency), got %d",
         request.num_threads));
-  }
-  if (request.chunks_per_thread < 1) {
-    return util::Status::InvalidArgument(
-        util::StrFormat("chunks_per_thread must be >= 1, got %d",
-                        request.chunks_per_thread));
   }
   if (request.sketch_block < 8 || request.sketch_block > (int64_t{1} << 20)) {
     return util::Status::InvalidArgument(util::StrFormat(
@@ -107,7 +105,6 @@ util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
   gen_options.stop_on_full_cover = request.stop_on_full_cover;
   gen_options.largest_first_early_exit = request.largest_first_early_exit;
   gen_options.num_threads = request.num_threads;
-  gen_options.chunks_per_thread = request.chunks_per_thread;
   gen_options.sketch = request.sketch;
   gen_options.sketch_block = request.sketch_block;
 

@@ -39,10 +39,6 @@ struct TableauRequest {
   // layers that fan out whole requests): 1 = sequential, 0 = hardware
   // concurrency. Candidate output is identical for every setting.
   int num_threads = 1;
-  // Scheduler chunks dispatched per worker during parallel generation; see
-  // interval::GeneratorOptions::chunks_per_thread. Must be >= 1. Output is
-  // identical for every setting — this only tunes load balance.
-  int chunks_per_thread = 12;
   // Quantized-sketch anchor screen; see interval::GeneratorOptions::sketch.
   // kAuto enables the conservative pre-pass on large series (candidates are
   // bit-identical either way), kOff disables it. sketch_block is the ticks
@@ -84,8 +80,8 @@ struct Tableau {
   std::string ToString() const;
 };
 
-// Request validation (thresholds in range, epsilon > 0 for approximate
-// algorithms, NAB/NAB-opt only with the balance model). Shared by
+// Request validation (finite thresholds in range, finite epsilon > 0 for
+// approximate algorithms, NAB/NAB-opt only with the balance model). Shared by
 // DiscoverTableau and the incremental engine (incr/incremental.h), so the
 // two front doors cannot drift on what a well-formed request is.
 util::Status ValidateTableauRequest(const TableauRequest& request);

@@ -50,30 +50,6 @@ struct CoverMetrics {
   }
 };
 
-// Fenwick (binary indexed) tree over the covered-tick indicator, 1-based.
-// Mark() is called exactly once per tick that becomes covered; Covered()
-// answers "how many of [1..t] are covered" in O(log n), which turns a
-// marginal-coverage query into two prefix lookups.
-class CoveredFenwick {
- public:
-  explicit CoveredFenwick(int64_t n)
-      : n_(n), tree_(static_cast<size_t>(n) + 1, 0) {}
-
-  void Mark(int64_t t) {
-    for (; t <= n_; t += t & -t) ++tree_[static_cast<size_t>(t)];
-  }
-
-  int64_t Covered(int64_t t) const {
-    int64_t sum = 0;
-    for (; t > 0; t -= t & -t) sum += tree_[static_cast<size_t>(t)];
-    return sum;
-  }
-
- private:
-  int64_t n_;
-  std::vector<int64_t> tree_;
-};
-
 struct HeapEntry {
   // Cached marginal gain: an upper bound on the true gain (coverage only
   // grows, so gains only decay after caching).
@@ -104,6 +80,37 @@ struct WorseThan {
 
 }  // namespace
 
+CoverageTracker::CoverageTracker(int64_t n)
+    : n_(n),
+      tree_(static_cast<size_t>(n) + 1, 0),
+      next_uncovered_(static_cast<size_t>(n) + 2) {
+  for (size_t t = 0; t < next_uncovered_.size(); ++t) {
+    next_uncovered_[t] = static_cast<int64_t>(t);
+  }
+}
+
+int64_t CoverageTracker::FindUncovered(int64_t t) {
+  while (next_uncovered_[static_cast<size_t>(t)] != t) {
+    ++tick_visits_;
+    next_uncovered_[static_cast<size_t>(t)] =
+        next_uncovered_[static_cast<size_t>(
+            next_uncovered_[static_cast<size_t>(t)])];
+    t = next_uncovered_[static_cast<size_t>(t)];
+  }
+  return t;
+}
+
+int64_t CoverageTracker::Mark(const interval::Interval& iv) {
+  int64_t marked = 0;
+  for (int64_t t = FindUncovered(iv.begin); t <= iv.end;
+       t = FindUncovered(t + 1)) {
+    for (int64_t u = t; u <= n_; u += u & -u) ++tree_[static_cast<size_t>(u)];
+    next_uncovered_[static_cast<size_t>(t)] = t + 1;
+    ++marked;
+  }
+  return marked;
+}
+
 CoverResult GreedyPartialSetCover(
     const std::vector<interval::Interval>& candidates, int64_t n,
     const CoverOptions& options) {
@@ -121,36 +128,12 @@ CoverResult GreedyPartialSetCover(
     return result;
   }
 
-  CoveredFenwick fenwick(n);
-  // next_uncovered[t] = smallest possibly-uncovered tick >= t (union-find
-  // with path halving; n + 1 is the self-looping "past the end" sentinel).
-  // Marking a tick links it to its right neighbour, so each tick is visited
-  // O(alpha(n)) amortized across ALL picks — the naive per-pick
-  // begin..end walk re-scanned already-covered runs.
-  std::vector<int64_t> next_uncovered(static_cast<size_t>(n) + 2);
-  for (size_t t = 0; t < next_uncovered.size(); ++t) {
-    next_uncovered[t] = static_cast<int64_t>(t);
-  }
-
+  CoverageTracker coverage(n);
   CoverStats& stats = result.stats;
-  auto find_uncovered = [&next_uncovered, &stats](int64_t t) {
-    while (next_uncovered[static_cast<size_t>(t)] != t) {
-      ++stats.tick_visits;
-      next_uncovered[static_cast<size_t>(t)] =
-          next_uncovered[static_cast<size_t>(
-              next_uncovered[static_cast<size_t>(t)])];
-      t = next_uncovered[static_cast<size_t>(t)];
-    }
-    return t;
-  };
-  auto marginal_gain = [&fenwick, &candidates](size_t k) {
-    const interval::Interval& iv = candidates[k];
-    return iv.length() - (fenwick.Covered(iv.end) - fenwick.Covered(iv.begin - 1));
-  };
 
   // Seed the initial gains in parallel (read-only Fenwick queries into
   // disjoint slots), then heapify once. With nothing covered yet every gain
-  // equals the interval length, but routing through marginal_gain keeps the
+  // equals the interval length, but routing through the tracker keeps the
   // seeding correct for any future warm-start coverage.
   util::Stopwatch seed_timer;
   std::vector<HeapEntry> heap(candidates.size());
@@ -160,9 +143,9 @@ CoverResult GreedyPartialSetCover(
                        static_cast<int64_t>(candidates.size()));
     util::ParallelFor(
         static_cast<int64_t>(candidates.size()), options.num_threads,
-        [&heap, &marginal_gain](int64_t k) {
+        [&heap, &coverage, &candidates](int64_t k) {
           heap[static_cast<size_t>(k)] =
-              HeapEntry{marginal_gain(static_cast<size_t>(k)),
+              HeapEntry{coverage.Gain(candidates[static_cast<size_t>(k)]),
                         static_cast<size_t>(k)};
         });
     std::make_heap(heap.begin(), heap.end(), worse);
@@ -183,7 +166,7 @@ CoverResult GreedyPartialSetCover(
     // High-volume: emitted only at --trace_verbosity=2.
     CR_TRACE_INSTANT_V2("cover.heap_pop");
 
-    const int64_t gain = marginal_gain(top.index);
+    const int64_t gain = coverage.Gain(candidates[top.index]);
     CR_CHECK(gain <= top.gain);  // gains are monotone non-increasing
     if (gain <= 0) continue;     // fully covered by earlier picks; retire
     if (gain < top.gain) {
@@ -199,14 +182,9 @@ CoverResult GreedyPartialSetCover(
 
     ++stats.rounds;
     picked.push_back(top.index);
-    const interval::Interval& pick = candidates[top.index];
-    for (int64_t t = find_uncovered(pick.begin); t <= pick.end;
-         t = find_uncovered(t + 1)) {
-      fenwick.Mark(t);
-      next_uncovered[static_cast<size_t>(t)] = t + 1;
-      ++result.covered;
-    }
+    result.covered += coverage.Mark(candidates[top.index]);
   }
+  stats.tick_visits = coverage.tick_visits();
   stats.select_seconds = select_timer.ElapsedSeconds();
 
   // Mirror the per-run CoverStats into the process-wide registry (one

@@ -87,6 +87,46 @@ struct CoverOptions {
   int num_threads = 1;
 };
 
+// Covered-tick bookkeeping for greedy interval cover over {1..n}. A
+// Fenwick (binary indexed) tree over the covered indicator turns an
+// interval's marginal gain into two O(log n) prefix lookups. Marking walks a
+// next-uncovered skip-pointer array (union-find with path halving; n + 1 is
+// the self-looping "past the end" sentinel), so each tick is visited
+// O(alpha(n)) amortized across ALL marks instead of once per covering pick.
+// GreedyPartialSetCover and the incremental engine's warm cover
+// (incr/incremental.h) both run on it, so their gains match bit for bit.
+class CoverageTracker {
+ public:
+  explicit CoverageTracker(int64_t n);
+
+  // Ticks of `iv` not yet covered. Read-only: safe to call concurrently.
+  int64_t Gain(const interval::Interval& iv) const {
+    return iv.length() - (Covered(iv.end) - Covered(iv.begin - 1));
+  }
+
+  // Covers every tick of `iv`; returns how many were newly covered.
+  int64_t Mark(const interval::Interval& iv);
+
+  // Skip-pointer advances made by Mark so far (CoverStats::tick_visits).
+  int64_t tick_visits() const { return tick_visits_; }
+
+ private:
+  // Covered ticks in [1, t].
+  int64_t Covered(int64_t t) const {
+    int64_t sum = 0;
+    for (; t > 0; t -= t & -t) sum += tree_[static_cast<size_t>(t)];
+    return sum;
+  }
+
+  // Smallest uncovered tick >= t (n + 1 when none).
+  int64_t FindUncovered(int64_t t);
+
+  int64_t n_;
+  std::vector<int64_t> tree_;
+  std::vector<int64_t> next_uncovered_;
+  int64_t tick_visits_ = 0;
+};
+
 // Runs greedy partial set cover over `candidates` on the universe {1..n}.
 // Candidates must satisfy 1 <= begin <= end <= n.
 CoverResult GreedyPartialSetCover(const std::vector<interval::Interval>& candidates,

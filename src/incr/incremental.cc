@@ -4,9 +4,10 @@
 #include <cmath>
 #include <utility>
 
+#include "cover/partial_set_cover.h"
+#include "interval/area_based.h"
 #include "interval/kernel.h"
 #include "interval/non_area_based.h"
-#include "interval/walk.h"
 #include "obs/metrics.h"
 #include "obs/watchdog.h"
 #include "util/check.h"
@@ -47,25 +48,6 @@ struct IncrMetrics {
   }
 };
 
-// Largest j in [lo, hi] with area(i, j) <= threshold, or lo - 1 if even
-// area(i, lo) exceeds it — the AB-opt generator's search verbatim
-// (area_based_opt.cc), minus its probe counter. The kernel must be
-// anchored at i.
-int64_t LargestEndpointWithin(const ConfidenceKernel& kernel, int64_t lo,
-                              int64_t hi, double threshold) {
-  int64_t result = lo - 1;
-  while (lo <= hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    if (kernel.SparseArea(mid) <= threshold) {
-      result = mid;
-      lo = mid + 1;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return result;
-}
-
 // One relaxed-threshold confidence test folded into a (best_j, best_conf)
 // accumulator — the generators' exact guard (valid + qualifying + longer
 // than the incumbent). kernel.Confidence is bit-identical to the batch
@@ -82,48 +64,23 @@ void FoldRelaxedTest(const ConfidenceKernel& kernel,
   }
 }
 
-// Credit-fail zero-prefix probes strictly below `zae`, replicating the
-// generators' length-geometric list for the current n (duplicates from
-// floor((1+eps)^h) included — they cannot displace themselves under the
-// j > best_j guard, exactly as in the fresh sweep). The probed set is
-// n-independent once zae is settled: every consumed entry is an uncapped
-// floor power < zae <= n, and the list's final capped entry `n` maps to
-// j = i + n - 1 >= zae, past the break.
+// Credit-fail zero-prefix probes strictly below `zae`, over the generators'
+// length list (interval::internal::ZeroPrefixLengths) for the current n;
+// duplicates cannot displace themselves under the j > best_j guard, exactly
+// as in the fresh sweep. The probed set is n-independent once zae is
+// settled: every consumed entry is an uncapped floor power < zae <= n, and
+// the list's final capped entry `n` maps to j = i + n - 1 >= zae, past the
+// break.
 void FoldZeroPrefix(const ConfidenceKernel& kernel,
-                    const interval::GeneratorOptions& options, double growth,
-                    int64_t i, int64_t zae, int64_t n, int64_t* best_j,
-                    double* best_conf) {
-  double power = 1.0;
-  while (static_cast<int64_t>(power) < n) {
-    const int64_t j = i + static_cast<int64_t>(power) - 1;
+                    const interval::GeneratorOptions& options,
+                    const std::vector<int64_t>& lengths, int64_t i,
+                    int64_t zae, int64_t* best_j, double* best_conf) {
+  for (const int64_t len : lengths) {
+    const int64_t j = i + len - 1;
     if (j >= zae) return;
     FoldRelaxedTest(kernel, options, j, best_j, best_conf);
-    power *= growth;
   }
 }
-
-// Fenwick tree over the covered-tick indicator — the cover phase's
-// (partial_set_cover.cc), so warm-start marginal gains are computed with
-// the identical arithmetic.
-class CoveredFenwick {
- public:
-  explicit CoveredFenwick(int64_t n)
-      : n_(n), tree_(static_cast<size_t>(n) + 1, 0) {}
-
-  void Mark(int64_t t) {
-    for (; t <= n_; t += t & -t) ++tree_[static_cast<size_t>(t)];
-  }
-
-  int64_t Covered(int64_t t) const {
-    int64_t sum = 0;
-    for (; t > 0; t -= t & -t) sum += tree_[static_cast<size_t>(t)];
-    return sum;
-  }
-
- private:
-  int64_t n_;
-  std::vector<int64_t> tree_;
-};
 
 // "Worse-than" order for the warm heap. Matches GreedyPartialSetCover's
 // deterministic WorseThan on every pair the selection can actually compare:
@@ -178,7 +135,6 @@ IncrementalDiscoverer::IncrementalDiscoverer(
   gen_options_.stop_on_full_cover = false;
   gen_options_.largest_first_early_exit = request.largest_first_early_exit;
   gen_options_.num_threads = 1;
-  gen_options_.chunks_per_thread = request.chunks_per_thread;
   gen_options_.sketch = interval::SketchMode::kOff;
   gen_options_.sketch_block = request.sketch_block;
   credit_fail_ = request.type == core::TableauType::kFail &&
@@ -219,7 +175,6 @@ const core::Tableau& IncrementalDiscoverer::AppendBatch(
 bool IncrementalDiscoverer::AttachStore(int64_t capacity, int64_t block) {
   if (block <= 0 || capacity < series_->n()) return false;
   store_ = series::SeriesStore::Build(*series_, block, capacity);
-  store_block_ = block;
   return true;
 }
 
@@ -339,7 +294,10 @@ void IncrementalDiscoverer::GrowStateArrays(int64_t n) {
 // ---------------------------------------------------------------------------
 // Area-based (AB): per-anchor level ladder with a resumable frontier.
 //
-// Mirrors AbWalkState level for level (walk.h). A level's breakpoint t
+// Follows the generator's per-anchor level sweep (area_based.cc) level for
+// level, on the same ladder, first-level skip and endpoint search
+// (interval::internal::AbThresholds / AbFirstLevel,
+// ConfidenceKernel::LargestEndpointWithin). A level's breakpoint t
 // (largest j in [i, n] with area <= T) SETTLES when t < n — the area is
 // nondecreasing in j, so area(t + 1) > T persists under every append — and
 // its confidence test folds into the persistent (best_j, best_conf) once.
@@ -355,27 +313,17 @@ void IncrementalDiscoverer::ProcessAreaBased(
   const double growth = 1.0 + gen_options_.epsilon;
   const double dlt = prev_delta_;
 
-  // Threshold ladder, rebuilt per batch exactly as the fresh generator
-  // builds it (area_based.cc). Prefix-stable and size-nondecreasing across
-  // appends: Delta is fixed (a decrease forced a full rebuild upstream)
-  // and max_area only grows, so settled levels keep their thresholds.
-  const double max_area = gen_options_.type == core::TableauType::kHold
-                              ? series_->SumB(1, n)
-                              : series_->SumA(1, n);
-  int64_t num_levels = 0;
-  if (max_area > dlt) {
-    num_levels = static_cast<int64_t>(
-                     std::ceil(std::log(max_area / dlt) / std::log(growth))) +
-                 1;
-  }
-  std::vector<double> thresholds;
-  if (fail_type_) thresholds.push_back(0.0);
-  double t_value = dlt;
-  for (int64_t l = 0; l <= num_levels; ++l) {
-    thresholds.push_back(t_value);
-    t_value *= growth;
-  }
+  // The generator's threshold ladder, rebuilt per batch. Prefix-stable and
+  // size-nondecreasing across appends: Delta is fixed (a decrease forced a
+  // full rebuild upstream) and max_area only grows, so settled levels keep
+  // their thresholds.
+  const std::vector<double> thresholds = interval::internal::AbThresholds(
+      *series_, gen_options_.type, dlt, growth);
   const size_t num_thresholds = thresholds.size();
+  const std::vector<int64_t> zero_prefix_lengths =
+      credit_fail_ ? interval::internal::ZeroPrefixLengths(n, growth)
+                   : std::vector<int64_t>{};
+  uint64_t probes = 0;  // the generator's endpoint_steps; unreported here
 
   ConfidenceKernel kernel(*eval_, gen_options_.type);
   for (int64_t i = 1; i <= n; ++i) {
@@ -390,16 +338,11 @@ void IncrementalDiscoverer::ProcessAreaBased(
       continue;
     }
 
-    // first_level replicates AbWalkState::Begin. For a clean anchor it is
-    // batch-invariant: area(i, i), Delta and growth do not move (credit/
-    // debit anchors whose SuffixMinGap changed were reset above).
-    size_t first_level = fail_type_ ? 1 : 0;
-    const double anchor_area = kernel.SparseArea(i);
-    if (anchor_area > dlt) {
-      const double levels_below =
-          std::log(anchor_area / dlt) / std::log(growth);
-      first_level += static_cast<size_t>(std::max(0.0, levels_below - 1.0));
-    }
+    // For a clean anchor first_level is batch-invariant: area(i, i), Delta
+    // and growth do not move (credit/debit anchors whose SuffixMinGap
+    // changed were reset above).
+    const size_t first_level = interval::internal::AbFirstLevel(
+        kernel.SparseArea(i), dlt, growth, fail_type_);
 
     size_t level;
     bool stopped = false;
@@ -433,20 +376,10 @@ void IncrementalDiscoverer::ProcessAreaBased(
           t = n;
           exists = true;
         } else {
-          // Fresh first-touch search verbatim (walk.h): default t = i, so
-          // t == i with exists == false when even [i, i] exceeds T.
-          int64_t lo = i;
-          int64_t hi = n;
-          t = i;
-          while (lo <= hi) {
-            const int64_t mid = lo + (hi - lo) / 2;
-            if (kernel.SparseArea(mid) <= threshold) {
-              t = mid;
-              lo = mid + 1;
-            } else {
-              hi = mid - 1;
-            }
-          }
+          // The generator's first-touch search: t == i with exists == false
+          // when even [i, i] exceeds T.
+          t = std::max(i, kernel.LargestEndpointWithin(i, n, threshold,
+                                                       &probes));
           exists = kernel.SparseArea(t) <= threshold;
         }
         if (exists && t == n) {
@@ -464,8 +397,8 @@ void IncrementalDiscoverer::ProcessAreaBased(
             st.zae = t;
             st.zae_settled = true;
             if (credit_fail_ && st.zae > i) {
-              FoldZeroPrefix(kernel, gen_options_, growth, i, st.zae, n,
-                             &st.best_j, &st.best_conf);
+              FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i,
+                             st.zae, &st.best_j, &st.best_conf);
             }
           }
           FoldRelaxedTest(kernel, gen_options_, t, &st.best_j, &st.best_conf);
@@ -490,7 +423,8 @@ void IncrementalDiscoverer::ProcessAreaBased(
     int64_t cj = st.best_j;
     double cc = st.best_conf;
     if (tent_zp && n > i) {
-      FoldZeroPrefix(kernel, gen_options_, growth, i, /*zae=*/n, n, &cj, &cc);
+      FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, /*zae=*/n,
+                     &cj, &cc);
     }
     if (tent_at_n) {
       FoldRelaxedTest(kernel, gen_options_, n, &cj, &cc);
@@ -502,7 +436,8 @@ void IncrementalDiscoverer::ProcessAreaBased(
 // ---------------------------------------------------------------------------
 // AB-opt: per-anchor breakpoint chain with a resumable frontier.
 //
-// Mirrors the scalar per-anchor path of area_based_opt.cc. A breakpoint
+// Follows the per-anchor path of area_based_opt.cc on the same endpoint
+// search and zero-prefix list. A breakpoint
 // found strictly below n settles forever (same monotone-area argument as
 // AB); a search whose result would sit at n — detected by the O(1) frontier
 // probe area(i, n) <= threshold BEFORE any binary search — parks the anchor
@@ -517,6 +452,10 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
   const int64_t old_n = delta.old_n;
   const double growth = 1.0 + gen_options_.epsilon;
   const double dlt = prev_delta_;
+  const std::vector<int64_t> zero_prefix_lengths =
+      credit_fail_ ? interval::internal::ZeroPrefixLengths(n, growth)
+                   : std::vector<int64_t>{};
+  uint64_t probes = 0;  // the generator's endpoint_steps; unreported here
 
   ConfidenceKernel kernel(*eval_, gen_options_.type);
   for (int64_t i = 1; i <= n; ++i) {
@@ -549,13 +488,13 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
         tent_zp = true;
         parked = true;
       } else {
-        const int64_t zae = LargestEndpointWithin(kernel, i, n, 0.0);
+        const int64_t zae = kernel.LargestEndpointWithin(i, n, 0.0, &probes);
         // Settled: area(zae + 1) > 0 persists.
         st.zae = zae;
         st.zae_settled = true;
         if (zae >= i) {
-          FoldZeroPrefix(kernel, gen_options_, growth, i, zae, n, &st.best_j,
-                         &st.best_conf);
+          FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, zae,
+                         &st.best_j, &st.best_conf);
           FoldRelaxedTest(kernel, gen_options_, zae, &st.best_j,
                           &st.best_conf);
         }
@@ -570,7 +509,7 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
         st.stage = AbOptState::kPendingInit;
         parked = true;
       } else {
-        const int64_t r = LargestEndpointWithin(kernel, i, n, dlt);
+        const int64_t r = kernel.LargestEndpointWithin(i, n, dlt, &probes);
         cur = r >= i ? r : i;  // forced start when even [i, i] exceeds Delta
         // Dedup mirror of the fresh push guard (breakpoints.back() < cur):
         // the only possible back entry is a pushed zae, and cur >= zae
@@ -602,7 +541,8 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
           parked = true;
           break;
         }
-        int64_t next = LargestEndpointWithin(kernel, cur + 1, n, target);
+        int64_t next =
+            kernel.LargestEndpointWithin(cur + 1, n, target, &probes);
         if (next < cur + 1) next = cur + 1;  // forced advance
         FoldRelaxedTest(kernel, gen_options_, next, &st.best_j,
                         &st.best_conf);
@@ -617,7 +557,8 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
     int64_t cj = st.best_j;
     double cc = st.best_conf;
     if (tent_zp && n > i) {
-      FoldZeroPrefix(kernel, gen_options_, growth, i, /*zae=*/n, n, &cj, &cc);
+      FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, /*zae=*/n,
+                     &cj, &cc);
     }
     if (parked) {
       FoldRelaxedTest(kernel, gen_options_, n, &cj, &cc);
@@ -688,23 +629,13 @@ void IncrementalDiscoverer::ProcessNonAreaBased(
           schedule, gen_options_.epsilon, n);
 
   ConfidenceKernel kernel(*eval_, gen_options_.type);
-  const interval::internal::NabWalkContext ctx{&lengths, &gen_options_};
-  interval::internal::NabWalkScratch scratch;
-  interval::internal::WalkStepCounters counters;
-  interval::internal::NabWalkState walk;
+  interval::internal::NabProbeScratch scratch;
+  uint64_t tested = 0;   // the generator's counters; unreported here
+  uint64_t batches = 0;
   for (int64_t j = old_n + 1; j <= n; ++j) {
-    // The fresh sweep's descending first_covering cursor lands on the
-    // first schedule entry >= j; lower_bound computes the same index
-    // directly for the ascending anchor order here.
-    const size_t first_covering = static_cast<size_t>(
-        std::lower_bound(lengths.begin(), lengths.end(), j) -
-        lengths.begin());
-    kernel.BeginRightAnchor(j);
-    walk.Begin(j, first_covering + 1);
-    while (!walk.finished) {
-      walk.Step(kernel, ctx, &scratch, &counters);
-    }
-    UpdateCandidate(j, walk.best_i >= 1, walk.best_i, j, walk.best_conf);
+    const auto [best_i, best_conf] = interval::internal::ProbeRightAnchor(
+        j, lengths, gen_options_, &kernel, &scratch, &tested, &batches);
+    UpdateCandidate(j, best_i >= 1, best_i, j, best_conf);
   }
 }
 
@@ -776,20 +707,7 @@ void IncrementalDiscoverer::RunWarmCover() {
     return;
   }
 
-  CoveredFenwick fenwick(n);
-  std::vector<int64_t> next_uncovered(static_cast<size_t>(n) + 2);
-  for (size_t t = 0; t < next_uncovered.size(); ++t) {
-    next_uncovered[t] = static_cast<int64_t>(t);
-  }
-  auto find_uncovered = [&next_uncovered](int64_t t) {
-    while (next_uncovered[static_cast<size_t>(t)] != t) {
-      next_uncovered[static_cast<size_t>(t)] =
-          next_uncovered[static_cast<size_t>(
-              next_uncovered[static_cast<size_t>(t)])];
-      t = next_uncovered[static_cast<size_t>(t)];
-    }
-    return t;
-  };
+  cover::CoverageTracker coverage(n);
 
   // Selection runs on a COPY of the persistent heap: refreshed (coverage-
   // decayed) gains are valid only against this batch's Fenwick and must
@@ -808,9 +726,7 @@ void IncrementalDiscoverer::RunWarmCover() {
     const size_t a = static_cast<size_t>(top.anchor);
     if (cand_valid_[a] == 0 || cand_version_[a] != top.version) continue;
 
-    const int64_t gain =
-        top.iv.length() -
-        (fenwick.Covered(top.iv.end) - fenwick.Covered(top.iv.begin - 1));
+    const int64_t gain = coverage.Gain(top.iv);
     CR_CHECK(gain <= top.gain);  // gains are monotone non-increasing
     if (gain <= 0) continue;     // fully covered by earlier picks; retire
     if (gain < top.gain) {
@@ -821,12 +737,7 @@ void IncrementalDiscoverer::RunWarmCover() {
     }
 
     picked.push_back(top.anchor);
-    for (int64_t t = find_uncovered(top.iv.begin); t <= top.iv.end;
-         t = find_uncovered(t + 1)) {
-      fenwick.Mark(t);
-      next_uncovered[static_cast<size_t>(t)] = t + 1;
-      ++tableau_.covered;
-    }
+    tableau_.covered += coverage.Mark(top.iv);
   }
   tableau_.support_satisfied = tableau_.covered >= tableau_.required;
 

@@ -231,7 +231,6 @@ class IncrementalDiscoverer {
   std::unique_ptr<series::CumulativeSeries> series_;
   std::unique_ptr<core::ConfidenceEvaluator> eval_;
   series::SeriesStore store_;  // empty unless AttachStore
-  int64_t store_block_ = 0;
 
   double prev_delta_ = 0.0;
   bool credit_fail_ = false;

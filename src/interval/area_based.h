@@ -38,10 +38,24 @@ class AreaBasedGenerator : public CandidateGenerator {
 
 namespace internal {
 
-// The sparsification area for anchor i, endpoint j: area_B for hold,
-// area_A for fail (balance-model area_A when the evaluator is credit).
-double SparsificationArea(const core::ConfidenceEvaluator& eval,
-                          core::TableauType type, int64_t i, int64_t j);
+// AB's level thresholds T_l = delta * growth^l, l = 0..L, with L bounded by
+// area(1, n) <= Sum(1, n); fail tableaux get a zero level T = 0 prepended.
+// Shared by AB and the incremental engine (incr/incremental.h).
+std::vector<double> AbThresholds(const series::CumulativeSeries& series,
+                                 core::TableauType type, double delta,
+                                 double growth);
+
+// The first threshold index AB sweeps for an anchor whose own area(i, i) is
+// `anchor_area`: levels below it have no breakpoint and are skipped, keeping
+// one level of margin against rounding. For fail tableaux the zero level
+// (index 0) is still swept before this one.
+size_t AbFirstLevel(double anchor_area, double delta, double growth,
+                    bool fail_type);
+
+// Credit-model fail tableaux: the interval lengths floor(growth^h) < n,
+// then n, that AB and AB-opt probe inside an anchor's zero-area prefix
+// (area_based.cc explains why). Duplicates are kept.
+std::vector<int64_t> ZeroPrefixLengths(int64_t n, double growth);
 
 }  // namespace internal
 

@@ -66,14 +66,6 @@ int ResolveNumShards(int64_t n, const GeneratorOptions& options) {
   return static_cast<int>(std::min<int64_t>(shards, n));
 }
 
-int64_t ResolveNumChunks(int64_t n, int workers,
-                         const GeneratorOptions& options) {
-  if (workers <= 1 || n <= 1) return 1;
-  const int64_t per_thread =
-      std::max<int64_t>(1, static_cast<int64_t>(options.chunks_per_thread));
-  return std::min<int64_t>(n, static_cast<int64_t>(workers) * per_thread);
-}
-
 namespace {
 
 // Work seconds of workers that claimed at least one chunk, ascending.

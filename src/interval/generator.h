@@ -88,22 +88,14 @@ struct GeneratorOptions {
   // subsumed. Supported by the per-anchor generators (AB-opt, NAB, NAB-opt).
   bool largest_first_early_exit = false;
   // Anchor-sharded parallel generation: the anchor range is split into
-  // many fine-grained contiguous chunks that workers claim dynamically off
-  // an atomic cursor; each chunk runs the unmodified sequential sweep with
-  // its own amortization state (level pointers / schedule cursor), and
-  // per-chunk outputs are concatenated in anchor order — results are
-  // identical to the sequential run for every algorithm/model/tableau-type
-  // combination and every chunking. 1 = sequential (default), 0 = hardware
-  // concurrency.
+  // many fine-grained contiguous chunks (interval/shard.h) that workers
+  // claim dynamically off an atomic cursor; each chunk runs the unmodified
+  // sequential sweep with its own amortization state (level pointers /
+  // schedule cursor), and per-chunk outputs are concatenated in anchor
+  // order — results are identical to the sequential run for every
+  // algorithm/model/tableau-type combination and every thread count.
+  // 1 = sequential (default), 0 = hardware concurrency.
   int num_threads = 1;
-  // Chunks dispatched per worker. Per-anchor cost is triangular (anchor i
-  // sweeps right endpoints up to n), so contiguous equal-width per-worker
-  // blocks leave the first block owning most of the work; cutting the range
-  // into chunks_per_thread * num_threads chunks and claiming them
-  // dynamically bounds the imbalance by one chunk's work. 8–16 is the sweet
-  // spot: fewer re-exposes the skew, many more just pays per-chunk pointer
-  // re-base overhead. Values < 1 are clamped to 1.
-  int chunks_per_thread = 12;
   // Sketch anchor-pruning policy and block span (ticks per sketch block).
   // See SketchMode above; the block span trades screen resolution (smaller
   // blocks prune more precisely) against sketch footprint and scan length.
@@ -144,10 +136,6 @@ struct GeneratorStats {
   uint64_t batches = 0;
   // Number of candidate intervals emitted.
   uint64_t candidates = 0;
-  // Resumable-walk accounting (interval/walk.h) for AB and NAB. Like
-  // `batches`, these describe execution shape, not logical work.
-  uint64_t walks = 0;        // resumable walks activated
-  uint64_t walk_rounds = 0;  // walk steps issued
   // Sketch screen accounting (interval/prune.h): anchors skipped because
   // the screen proved their per-anchor optimum empty, and sketch blocks
   // scanned doing so (both screen construction and per-anchor rescans).
@@ -169,8 +157,6 @@ struct GeneratorStats {
   // it; sequential runs get a single entry.
   std::vector<ShardWork> shard_work;
 
-  void Reset() { *this = GeneratorStats{}; }
-
   // Accumulates per-chunk (or per-shard) counters into this one: counters
   // and work seconds add. wall_seconds, shards, chunks, and shard_work
   // describe the whole run and are owned by the execution driver — Merge
@@ -180,16 +166,16 @@ struct GeneratorStats {
     endpoint_steps += shard.endpoint_steps;
     batches += shard.batches;
     candidates += shard.candidates;
-    walks += shard.walks;
-    walk_rounds += shard.walk_rounds;
     anchors_pruned += shard.anchors_pruned;
     sketch_blocks += shard.sketch_blocks;
     seconds += shard.seconds;
   }
 
   // Fraction of SIMD walk-lane slots that carried a live probe. No
-  // generator runs a cross-anchor lane scheduler, so this is always 0.0;
-  // kept for callers that still report it.
+  // generator runs a cross-anchor lane scheduler, so this is always 0.0.
+  // It stays because the benchmark harness (perfbench/perfbench.cc) reports
+  // it as interval.lane_occupancy, and that harness is frozen between
+  // benchmark revisions.
   double LaneOccupancy() const { return 0.0; }
 
   // Shard-level observability, derived from shard_work. Workers that
@@ -247,12 +233,6 @@ double ResolveDelta(const series::CumulativeSeries& series,
 // Number of workers a generator should dispatch for n anchors: clamps
 // options.num_threads (0 = hardware concurrency) to [1, n].
 int ResolveNumShards(int64_t n, const GeneratorOptions& options);
-
-// Number of scheduler chunks for n anchors and `workers` workers:
-// min(n, workers * max(1, options.chunks_per_thread)), and 1 when
-// workers == 1 (a sequential run needs no chunking).
-int64_t ResolveNumChunks(int64_t n, int workers,
-                         const GeneratorOptions& options);
 
 // The relaxed acceptance predicate used by the approximate generators, and
 // the exact one (epsilon = 0) used by the exhaustive generator.

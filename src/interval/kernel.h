@@ -25,10 +25,12 @@
 #ifndef CONSERVATION_INTERVAL_KERNEL_H_
 #define CONSERVATION_INTERVAL_KERNEL_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/confidence.h"
 #include "core/model.h"
+#include "interval/generator.h"
 #include "interval/kernel_simd.h"
 
 namespace conservation::interval::internal {
@@ -64,12 +66,36 @@ class ConfidenceKernel {
     h_sp_ = hold_ ? h_b_ : (sparse_balance_ ? prev : h_a_);
   }
 
-  // SparsificationArea(i_, j): area_B for hold, area_A for fail
+  // The sparsification area of [i_, j]: area_B for hold, area_A for fail
   // (balance-model area_A when the model is credit).
   double SparseArea(int64_t j) const {
     const double raw = (sp_[j] - sp_prev_) -
                        static_cast<double>(j - i_ + 1) * h_sp_;
     return raw < 0.0 ? 0.0 : raw;
+  }
+
+  // Largest j in [lo, hi] with SparseArea(j) <= threshold, or lo - 1 if even
+  // SparseArea(lo) exceeds it: a binary search over the nondecreasing area,
+  // adding one to *probes per area evaluated. AB's first touch of a level,
+  // every AB-opt breakpoint and the incremental engine's settling searches
+  // all run through here. Kept out of line on purpose: inlined into AB-opt's
+  // per-anchor loop it measured about 5% slower end to end, the larger loop
+  // body spilling the anchor state this search reads on every probe.
+  [[gnu::noinline]] int64_t LargestEndpointWithin(int64_t lo, int64_t hi,
+                                                  double threshold,
+                                                  uint64_t* probes) const {
+    int64_t result = lo - 1;
+    while (lo <= hi) {
+      const int64_t mid = lo + (hi - lo) / 2;
+      ++*probes;
+      if (SparseArea(mid) <= threshold) {
+        result = mid;
+        lo = mid + 1;
+      } else {
+        hi = mid - 1;
+      }
+    }
+    return result;
   }
 
   // conf(i_, j); false when the denominator is not positive (undefined).
@@ -175,6 +201,48 @@ class ConfidenceKernel {
   double sa_end_ = 0.0;
   double sb_end_ = 0.0;
 };
+
+// Confidence-probes `count` intervals that grow longer with the index
+// (AB-opt's ascending breakpoints, NAB's descending left anchors) and
+// returns the index of the longest one passing the relaxed threshold, or
+// -1, with its confidence in *best_conf. batch(begin, end) must evaluate
+// lanes [begin, end) into conf[] / valid[] at the same indices. Under
+// largest_first_early_exit the lanes go in reverse blocks of kBlock and the
+// scan stops at the first qualifying one; lanes past it are speculative and
+// uncounted, so *tested equals a one-at-a-time scan. Otherwise one batch
+// evaluates every lane.
+template <int64_t kBlock, typename BatchFn>
+int64_t LongestQualifying(int64_t count, const GeneratorOptions& options,
+                          BatchFn&& batch, const double* conf,
+                          const uint8_t* valid, double* best_conf,
+                          uint64_t* tested, uint64_t* batches) {
+  if (!options.largest_first_early_exit) {
+    batch(0, count);
+    ++*batches;
+    *tested += static_cast<uint64_t>(count);
+    for (int64_t k = count; k-- > 0;) {
+      if (valid[k] && PassesRelaxedThreshold(conf[k], options)) {
+        *best_conf = conf[k];
+        return k;
+      }
+    }
+    return -1;
+  }
+  for (int64_t end = count; end > 0;) {
+    const int64_t begin = std::max<int64_t>(0, end - kBlock);
+    batch(begin, end);
+    ++*batches;
+    for (int64_t k = end; k-- > begin;) {
+      ++*tested;
+      if (valid[k] && PassesRelaxedThreshold(conf[k], options)) {
+        *best_conf = conf[k];
+        return k;
+      }
+    }
+    end = begin;
+  }
+  return -1;
+}
 
 }  // namespace conservation::interval::internal
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "interval/kernel.h"
 #include "interval/shard.h"
-#include "interval/walk.h"
 
 namespace conservation::interval {
 
@@ -37,6 +37,42 @@ std::vector<int64_t> NonAreaBasedGenerator::MakeLengthSchedule(
   return lengths;
 }
 
+namespace internal {
+
+std::pair<int64_t, double> ProbeRightAnchor(
+    int64_t j, const std::vector<int64_t>& lengths,
+    const GeneratorOptions& options, ConfidenceKernel* kernel,
+    NabProbeScratch* scratch, uint64_t* tested, uint64_t* batches) {
+  kernel->BeginRightAnchor(j);
+  // Every schedule length below j, plus the first one >= j (which clamps
+  // to i = 1).
+  const auto covering = std::lower_bound(lengths.begin(), lengths.end(), j);
+  const size_t applicable = static_cast<size_t>(covering - lengths.begin()) + 1;
+  // Left anchors per level, probed through the right-anchored batch kernel
+  // (index-list gather over a, SA, SB).
+  std::vector<int64_t>& level_is = scratch->level_is;
+  level_is.resize(applicable);
+  scratch->conf.resize(applicable);
+  scratch->valid.resize(applicable);
+  for (size_t h = 0; h < applicable; ++h) {
+    level_is[h] = std::max<int64_t>(1, j + 1 - lengths[h]);
+  }
+  double best_conf = 0.0;
+  const int64_t best = LongestQualifying<8>(
+      static_cast<int64_t>(applicable), options,
+      [&](int64_t begin, int64_t end) {
+        kernel->ConfidenceFromBatch(level_is.data() + begin, end - begin,
+                                    scratch->conf.data() + begin,
+                                    scratch->valid.data() + begin);
+      },
+      scratch->conf.data(), scratch->valid.data(), &best_conf, tested,
+      batches);
+  if (best < 0) return {0, 0.0};
+  return {level_is[static_cast<size_t>(best)], best_conf};
+}
+
+}  // namespace internal
+
 std::vector<Candidate> NonAreaBasedGenerator::GenerateCandidates(
     const core::ConfidenceEvaluator& eval, const GeneratorOptions& options,
     GeneratorStats* stats) const {
@@ -57,48 +93,27 @@ std::vector<Candidate> NonAreaBasedGenerator::GenerateCandidates(
   // first — mirroring AB, whose i = 1 anchor comes first. Results are order
   // independent otherwise, and the final sort makes the concatenated chunk
   // outputs identical to the sequential run (each anchor emits at most one
-  // interval, so positions are distinct).
-  //
-  // `first_covering` tracks the index of the first schedule entry >= j; it
-  // only moves left as j decreases, so maintaining it is O(1) amortized.
-  // Each chunk re-bases it from the end of the schedule — at most one extra
-  // walk down the schedule per chunk. The confidence sweep runs on the
+  // interval, so positions are distinct). The confidence sweep runs on the
   // flat-array kernel with the right-endpoint prefix sums hoisted per
   // anchor (interval/kernel.h).
   auto block = [&, n](int64_t j_begin, int64_t j_end,
                       GeneratorStats* chunk_stats) {
     internal::ConfidenceKernel kernel(eval, options.type);
-    internal::NabWalkContext ctx{&lengths, &options};
-    internal::NabWalkScratch scratch;
-    internal::WalkStepCounters counters;
-    internal::NabWalkState walk;
+    internal::NabProbeScratch scratch;
+    uint64_t tested = 0;
+    uint64_t batches = 0;
     std::vector<Candidate> out;
     out.reserve(static_cast<size_t>(j_end - j_begin + 1));
-    uint64_t walks_started = 0;
-    uint64_t walk_steps = 0;
-    size_t first_covering = lengths.size() - 1;  // last entry is >= n >= j
     for (int64_t j = j_end; j >= j_begin; --j) {
-      while (first_covering > 0 && lengths[first_covering - 1] >= j) {
-        --first_covering;
-      }
-      kernel.BeginRightAnchor(j);
-      // Schedule entries applicable to this anchor: all lengths < j plus
-      // the first one >= j (which clamps to i = 1).
-      walk.Begin(j, first_covering + 1);
-      ++walks_started;
-      while (!walk.finished) {
-        walk.Step(kernel, ctx, &scratch, &counters);
-        ++walk_steps;
-      }
-      if (walk.best_i >= 1) {
-        out.push_back(Candidate{Interval{walk.best_i, j}, walk.best_conf});
-        if (options.stop_on_full_cover && walk.best_i == 1 && j == n) break;
+      const auto [best_i, best_conf] = internal::ProbeRightAnchor(
+          j, lengths, options, &kernel, &scratch, &tested, &batches);
+      if (best_i >= 1) {
+        out.push_back(Candidate{Interval{best_i, j}, best_conf});
+        if (options.stop_on_full_cover && best_i == 1 && j == n) break;
       }
     }
-    chunk_stats->intervals_tested = counters.tested;
-    chunk_stats->batches = counters.batches;
-    chunk_stats->walks = walks_started;
-    chunk_stats->walk_rounds = walk_steps;
+    chunk_stats->intervals_tested = tested;
+    chunk_stats->batches = batches;
     return out;
   };
 

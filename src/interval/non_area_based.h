@@ -30,6 +30,8 @@
 #ifndef CONSERVATION_INTERVAL_NON_AREA_BASED_H_
 #define CONSERVATION_INTERVAL_NON_AREA_BASED_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "interval/generator.h"
@@ -65,6 +67,31 @@ class NonAreaBasedGenerator : public CandidateGenerator {
  private:
   LengthSchedule schedule_;
 };
+
+namespace internal {
+
+class ConfidenceKernel;
+
+// Reusable buffers for ProbeRightAnchor.
+struct NabProbeScratch {
+  std::vector<int64_t> level_is;
+  std::vector<double> conf;
+  std::vector<uint8_t> valid;
+};
+
+// One right anchor's NAB probe: right-anchors `kernel` at j, tests the left
+// anchors max(1, j + 1 - len) for every schedule length below j plus the
+// first one >= j (which clamps to i = 1), and returns the smallest
+// qualifying left anchor with its confidence (0 when none qualifies).
+// *tested and *batches accumulate. `lengths` is MakeLengthSchedule's output
+// for some max_length >= j. Shared by NonAreaBasedGenerator and the
+// incremental engine.
+std::pair<int64_t, double> ProbeRightAnchor(
+    int64_t j, const std::vector<int64_t>& lengths,
+    const GeneratorOptions& options, ConfidenceKernel* kernel,
+    NabProbeScratch* scratch, uint64_t* tested, uint64_t* batches);
+
+}  // namespace internal
 
 }  // namespace conservation::interval
 

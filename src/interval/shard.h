@@ -13,15 +13,14 @@
 // sweeps right endpoints up to n — so equal-width per-worker blocks leave
 // the first block owning most of the work while the rest idle (PR 1's
 // measured flat-to-negative scaling). The driver instead cuts [1, n] into
-// ≈ chunks_per_thread × workers chunks and lets workers claim them off an
+// ≈ kChunksPerThread × workers chunks and lets workers claim them off an
 // atomic cursor; whichever worker finishes early claims more, bounding the
 // finish-time spread by one chunk's work regardless of the skew shape.
 //
-// Determinism: chunk boundaries are a pure function of (n, workers,
-// chunks_per_thread); outputs land in a per-chunk slot and are concatenated
-// in chunk (= anchor) order, so the candidate list is bit-identical to the
-// sequential run for every thread count and chunking — only the stats'
-// timing fields vary run to run.
+// Determinism: chunk boundaries are a pure function of (n, workers);
+// outputs land in a per-chunk slot and are concatenated in chunk (= anchor)
+// order, so the candidate list is bit-identical to the sequential run for
+// every thread count — only the stats' timing fields vary run to run.
 //
 // stop_on_full_cover: a generator's early exit fires only at the anchor the
 // sequential run visits first (i = 1 for left-anchored sweeps, j = n for
@@ -97,6 +96,20 @@ struct GenerationMetrics {
   }
 };
 
+// Chunks dispatched per worker: enough that dynamic claiming bounds the
+// imbalance of the triangular per-anchor cost by one chunk's work, few
+// enough that the per-chunk pointer re-base stays cheap. It never changes
+// the output, so it is a constant rather than an option.
+inline constexpr int64_t kChunksPerThread = 12;
+
+// Number of scheduler chunks for n anchors and `workers` workers:
+// min(n, workers * kChunksPerThread), and 1 when workers == 1 (a sequential
+// run needs no chunking).
+inline int64_t ResolveNumChunks(int64_t n, int workers) {
+  if (workers <= 1 || n <= 1) return 1;
+  return std::min<int64_t>(n, static_cast<int64_t>(workers) * kChunksPerThread);
+}
+
 // Blocks may emit bare Intervals or Candidates (interval + confidence);
 // the driver's full-cover detection only needs the interval view.
 inline const Interval& ElementInterval(const Interval& element) {
@@ -155,7 +168,7 @@ auto RunSharded(int64_t n, const GeneratorOptions& options,
     metrics.chunks_fair.Increment();
     metrics.chunk_seconds.Record(merged.seconds);
   } else {
-    const int64_t requested = ResolveNumChunks(n, workers, options);
+    const int64_t requested = ResolveNumChunks(n, workers);
     const int64_t width = (n + requested - 1) / requested;
     const int64_t chunks = (n + width - 1) / width;
     merged.chunks = chunks;

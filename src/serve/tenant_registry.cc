@@ -37,6 +37,9 @@ CountCheck CheckCounts(const double* a, const double* b, int64_t m) {
 }
 
 TenantRegistry::TenantRegistry(const TenantConfig& config) : config_(config) {
+  // Sessions are created lazily, on a tenant's first append (FaultUp); a
+  // request they would refuse must stop the process here, not there.
+  CR_CHECK(core::ValidateTableauRequest(config_.request).ok());
   CR_CHECK(!config_.request.stop_on_full_cover);
 }
 

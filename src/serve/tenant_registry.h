@@ -83,8 +83,10 @@ class DominanceFilter {
 
 struct TenantConfig {
   // Tableau request shared by every tenant (per-tenant requests are a
-  // non-goal: a fleet monitors one rule family). stop_on_full_cover must
-  // be false (incremental engine restriction).
+  // non-goal: a fleet monitors one rule family). It must pass
+  // core::ValidateTableauRequest, and stop_on_full_cover must be false
+  // (incremental engine restriction); the registry checks both when it is
+  // constructed.
   core::TableauRequest request;
   stream::StreamOptions stream;
   // Defer per-batch cover maintenance to RefreshDirtyCovers (recommended

@@ -4,6 +4,7 @@
 #include "interval/generator.h"
 #include "interval/interval.h"
 #include "interval/non_area_based.h"
+#include "interval/shard.h"
 #include "tests/test_data.h"
 
 namespace conservation::interval {
@@ -161,10 +162,10 @@ TEST(ShardInvarianceTest, EveryAlgorithmModelAndTypeMatchesSequential) {
           EXPECT_EQ(stats.candidates, sequential_stats.candidates);
           if (threads == 2) {
             EXPECT_EQ(stats.shards, 2);
-            // The chunked scheduler dispatches chunks_per_thread chunks
+            // The chunked scheduler dispatches kChunksPerThread chunks
             // per worker and reports per-worker accounting.
             EXPECT_EQ(stats.chunks,
-                      std::min<int64_t>(700, 2 * options.chunks_per_thread));
+                      std::min<int64_t>(700, 2 * internal::kChunksPerThread));
             EXPECT_EQ(stats.shard_work.size(), 2u);
             uint64_t claimed = 0;
             for (const ShardWork& work : stats.shard_work) {

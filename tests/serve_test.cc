@@ -423,6 +423,16 @@ TEST(TenantRegistry, EnqueueRefusesInvalidCountsWithoutSideEffects) {
                     " registry-invalid");
 }
 
+// Sessions start on a tenant's first append, so a request they would
+// refuse must stop the process when the registry is built, not when the
+// first client sends data.
+TEST(TenantRegistry, ConstructionRefusesInvalidRequest) {
+  serve::TenantConfig config = TestTenantConfig();
+  config.request.c_hat = 2.0;
+  EXPECT_DEATH(serve::TenantRegistry registry(config),
+               "ValidateTableauRequest");
+}
+
 TEST(ServeDaemon, EvictionAndRefaultPreserveTableauBitwise) {
   serve::TenantConfig config = TestTenantConfig();
   serve::DaemonOptions options;

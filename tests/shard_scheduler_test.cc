@@ -15,29 +15,35 @@
 namespace conservation::interval {
 namespace {
 
-TEST(ResolveNumChunksTest, ClampsAndCaps) {
-  GeneratorOptions options;
-  options.chunks_per_thread = 12;
-  EXPECT_EQ(ResolveNumChunks(1000, 1, options), 1);  // sequential: no chunking
-  EXPECT_EQ(ResolveNumChunks(1000, 4, options), 48);
-  EXPECT_EQ(ResolveNumChunks(30, 4, options), 30);  // capped at n
-  options.chunks_per_thread = 0;                    // clamped to 1
-  EXPECT_EQ(ResolveNumChunks(1000, 4, options), 4);
-  options.chunks_per_thread = 1000000;
-  EXPECT_EQ(ResolveNumChunks(1000, 4, options), 1000);  // width-1 chunks
+using internal::kChunksPerThread;
+using internal::ResolveNumChunks;
+
+TEST(ResolveNumChunksTest, ScalesWithWorkersAndCapsAtN) {
+  EXPECT_EQ(ResolveNumChunks(1000, 1), 1);  // sequential: no chunking
+  EXPECT_EQ(ResolveNumChunks(1000, 4), 4 * kChunksPerThread);
+  EXPECT_EQ(ResolveNumChunks(1000, 5), 5 * kChunksPerThread);
+  EXPECT_EQ(ResolveNumChunks(30, 4), 30);  // capped at n: width-1 chunks
+  EXPECT_EQ(ResolveNumChunks(1, 4), 1);
 }
 
-// Output must be bit-identical to the sequential run for every chunking,
-// including the degenerate ones: one chunk per worker, width-1 chunks, and
-// prime chunk counts against a prime n.
+// Output must be bit-identical to the sequential run for every chunking
+// the scheduler can produce, including the degenerate ones. The chunk
+// count is a function of (n, threads) alone, so the shapes come from
+// varying both: width-1 chunks (n below kChunksPerThread × threads), a
+// prime chunk count against a prime n, and ragged tails (a prime n leaves
+// one for every width above 1).
 TEST(ShardSchedulerTest, DeterministicUnderAdversarialChunkSizes) {
-  const int64_t n = 997;  // prime: every width leaves a ragged tail
-  const series::CountSequence counts =
-      testing_util::RandomDominatedCounts(/*seed=*/11, n);
-  const series::CumulativeSeries cumulative(counts);
-  const core::ConfidenceEvaluator eval(&cumulative,
-                                       core::ConfidenceModel::kBalance);
-
+  struct Shape {
+    int64_t n;
+    int threads;
+  };
+  const Shape shapes[] = {
+      {997, 2},  // 24 chunks of width 42, tail of 31
+      {997, 3},  // 36 chunks of width 28, tail of 17
+      {997, 5},  // 59 (prime) chunks of width 17, tail of 11
+      {31, 2},   // 16 chunks of width 2, tail of 1
+      {31, 3},   // 31 (prime) chunks of width 1
+  };
   struct Config {
     AlgorithmKind kind;
     core::TableauType type;
@@ -48,36 +54,37 @@ TEST(ShardSchedulerTest, DeterministicUnderAdversarialChunkSizes) {
       {AlgorithmKind::kAreaBasedOpt, core::TableauType::kHold},
       {AlgorithmKind::kNonAreaBasedOpt, core::TableauType::kHold},
   };
-  for (const Config& config : configs) {
-    GeneratorOptions options;
-    options.type = config.type;
-    options.c_hat = config.type == core::TableauType::kHold ? 0.7 : 0.4;
-    options.epsilon = 0.05;
-    const auto generator = MakeGenerator(config.kind);
+  for (const Shape& shape : shapes) {
+    const series::CountSequence counts =
+        testing_util::RandomDominatedCounts(/*seed=*/11, shape.n);
+    const series::CumulativeSeries cumulative(counts);
+    const core::ConfidenceEvaluator eval(&cumulative,
+                                         core::ConfidenceModel::kBalance);
+    // The scheduler re-derives the count from the rounded-up width.
+    const int64_t requested = ResolveNumChunks(shape.n, shape.threads);
+    const int64_t width = (shape.n + requested - 1) / requested;
+    const int64_t expected_chunks = (shape.n + width - 1) / width;
+    for (const Config& config : configs) {
+      GeneratorOptions options;
+      options.type = config.type;
+      options.c_hat = config.type == core::TableauType::kHold ? 0.7 : 0.4;
+      options.epsilon = 0.05;
+      const auto generator = MakeGenerator(config.kind);
 
-    options.num_threads = 1;
-    const std::vector<Interval> sequential =
-        generator->Generate(eval, options, nullptr);
+      options.num_threads = 1;
+      const std::vector<Interval> sequential =
+          generator->Generate(eval, options, nullptr);
 
-    for (const int threads : {2, 3, 5}) {
-      // 1 chunk/worker (static partition), a prime chunk count, and a
-      // chunk count >= n (width-1 chunks).
-      for (const int chunks_per_thread : {1, 7, 1000}) {
-        options.num_threads = threads;
-        options.chunks_per_thread = chunks_per_thread;
-        GeneratorStats stats;
-        const std::vector<Interval> chunked =
-            generator->Generate(eval, options, &stats);
-        EXPECT_EQ(chunked, sequential)
-            << AlgorithmKindName(config.kind) << " type "
-            << static_cast<int>(config.type) << " threads " << threads
-            << " chunks_per_thread " << chunks_per_thread;
-        // The driver re-derives the count from the rounded-up width.
-        const int64_t requested = std::min<int64_t>(
-            n, static_cast<int64_t>(threads) * chunks_per_thread);
-        const int64_t width = (n + requested - 1) / requested;
-        EXPECT_EQ(stats.chunks, (n + width - 1) / width);
-      }
+      options.num_threads = shape.threads;
+      GeneratorStats stats;
+      const std::vector<Interval> chunked =
+          generator->Generate(eval, options, &stats);
+      EXPECT_EQ(chunked, sequential)
+          << AlgorithmKindName(config.kind) << " type "
+          << static_cast<int>(config.type) << " n " << shape.n
+          << " threads " << shape.threads;
+      EXPECT_EQ(stats.chunks, expected_chunks)
+          << "n " << shape.n << " threads " << shape.threads;
     }
   }
 }
@@ -88,7 +95,6 @@ TEST(ShardSchedulerTest, ConcatenatesChunkOutputsInAnchorOrder) {
   const int64_t n = 500;
   GeneratorOptions options;
   options.num_threads = 4;
-  options.chunks_per_thread = 16;
   GeneratorStats stats;
   const std::vector<Interval> out = internal::RunSharded(
       n, options, &stats,
@@ -106,8 +112,8 @@ TEST(ShardSchedulerTest, ConcatenatesChunkOutputsInAnchorOrder) {
   EXPECT_EQ(stats.intervals_tested, static_cast<uint64_t>(n));
   EXPECT_EQ(stats.candidates, static_cast<uint64_t>(n));
   EXPECT_EQ(stats.shards, 4);
-  // 64 requested chunks over n=500 -> width 8 -> 63 actual chunks.
-  EXPECT_EQ(stats.chunks, 63);
+  // 48 requested chunks over n=500 -> width 11 -> 46 actual chunks.
+  EXPECT_EQ(stats.chunks, 46);
 }
 
 // stop_on_full_cover across multiple chunks: the signaling chunk's output
@@ -116,7 +122,6 @@ TEST(ShardSchedulerTest, StopOnFullCoverCancelsOtherChunks) {
   const int64_t n = 300;
   GeneratorOptions options;
   options.num_threads = 4;
-  options.chunks_per_thread = 8;
   options.stop_on_full_cover = true;
   GeneratorStats stats;
   const std::vector<Interval> out = internal::RunSharded(
@@ -160,7 +165,6 @@ TEST(ShardSchedulerTest, LoadBalanceBoundedOnTriangularWorkload) {
   const int64_t n = 4000;
   GeneratorOptions options;
   options.num_threads = 4;
-  options.chunks_per_thread = 12;
   GeneratorStats stats;
   internal::RunSharded(
       n, options, &stats,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/conservation_rule.h"
 #include "core/tableau.h"
 #include "tests/test_data.h"
@@ -22,6 +25,26 @@ TEST(TableauTest, RejectsBadThresholds) {
   request.s_hat = 0.5;
   request.epsilon = 0.0;
   EXPECT_FALSE(rule->DiscoverTableau(request).ok());
+
+  // A NaN compares false against every bound, so a range check written as
+  // `x < lo || x > hi` lets it through; NaN and ±Inf must each be refused
+  // with a message naming the field.
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    for (const std::string field : {"c_hat", "s_hat", "epsilon"}) {
+      TableauRequest bad_request;
+      if (field == "c_hat") bad_request.c_hat = bad;
+      if (field == "s_hat") bad_request.s_hat = bad;
+      if (field == "epsilon") bad_request.epsilon = bad;
+      const util::Status status = ValidateTableauRequest(bad_request);
+      EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+          << field << " = " << bad;
+      EXPECT_NE(status.message().find(field), std::string::npos)
+          << status.message();
+      EXPECT_FALSE(rule->DiscoverTableau(bad_request).ok()) << field;
+    }
+  }
 }
 
 TEST(TableauTest, RejectsNabWithNonBalanceModel) {
@@ -46,6 +69,8 @@ TEST(TableauTest, ExhaustiveIgnoresEpsilonValidation) {
   TableauRequest request;
   request.algorithm = interval::AlgorithmKind::kExhaustive;
   request.epsilon = 0.0;
+  EXPECT_TRUE(rule->DiscoverTableau(request).ok());
+  request.epsilon = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(rule->DiscoverTableau(request).ok());
 }
 

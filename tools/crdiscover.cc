@@ -19,8 +19,6 @@
 //   --algorithm=exhaustive|area|area_opt|nab|nab_opt   (default area)
 //   --threads=<k>  anchor-sharded generation threads; 0 = all cores
 //                  (default 1; results are identical for every setting)
-//   --chunks_per_thread=<k>  scheduler chunks per worker (default 12);
-//                  load-balance knob only, results identical for every value
 //   --sketch=auto|off  quantized-sketch anchor screen (default auto);
 //                  conservative pre-pass only, candidates are bit-identical
 //                  for both settings
@@ -285,12 +283,6 @@ int main(int argc, char** argv) {
   if (!threads.ok()) return Fail(threads.status().ToString());
   if (*threads < 0) return Fail("--threads must be >= 0");
   request.num_threads = static_cast<int>(*threads);
-  auto chunks_per_thread = flags.GetIntOr("chunks_per_thread", 12);
-  if (!chunks_per_thread.ok()) {
-    return Fail(chunks_per_thread.status().ToString());
-  }
-  if (*chunks_per_thread < 1) return Fail("--chunks_per_thread must be >= 1");
-  request.chunks_per_thread = static_cast<int>(*chunks_per_thread);
 
   const std::string sketch = flags.GetStringOr("sketch", "auto");
   if (sketch == "off") {

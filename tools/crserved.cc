@@ -118,6 +118,13 @@ int main(int argc, char** argv) {
   tenant_config.request.c_hat = *c_hat;
   tenant_config.request.s_hat = *s_hat;
   tenant_config.request.epsilon = *epsilon;
+  // Tenant sessions start on each tenant's first append; refuse a request
+  // they would reject before binding any socket.
+  if (util::Status status =
+          core::ValidateTableauRequest(tenant_config.request);
+      !status.ok()) {
+    return Fail(status.ToString());
+  }
   auto window = flags.GetIntOr("window", 64);
   if (!window.ok() || *window <= 0) return Fail("--window must be > 0");
   tenant_config.stream.window = *window;
