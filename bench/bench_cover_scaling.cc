@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
 
   cover::CoverOptions options;
   options.s_hat = s_hat;
-  options.deterministic_tie_break = true;
 
   bench::PrintHeader("cover-phase scaling: lazy heap + Fenwick vs naive scan");
   std::printf(

@@ -127,13 +127,14 @@ util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
   {
     CR_TRACE_SPAN_ARGS("tableau.cover", "candidates",
                        static_cast<int64_t>(candidates.size()));
+    // The interval view the cover takes is part of the cover phase.
+    util::Stopwatch cover_timer;
     std::vector<interval::Interval> intervals;
     intervals.reserve(candidates.size());
     for (const interval::Candidate& candidate : candidates) {
       intervals.push_back(candidate.interval);
     }
 
-    util::Stopwatch cover_timer;
     cover::CoverOptions cover_options;
     cover_options.s_hat = request.s_hat;
     cover_options.num_threads = request.num_threads;

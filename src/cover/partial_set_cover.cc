@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "obs/labels.h"
 #include "obs/metrics.h"
@@ -59,24 +60,60 @@ struct HeapEntry {
 
 // "Worse-than" order for std::push_heap/pop_heap: the popped top must be
 // the interval the naive linear scan would have selected, i.e. the argmax
-// under (gain desc, ByPosition asc when deterministic, input index asc).
-// The index component reproduces the scan's first-hit-wins behaviour for
-// duplicate intervals (deterministic mode) and for equal gains
-// (non-deterministic mode).
+// under (gain desc, ByPosition asc, input index asc). The index component
+// reproduces the scan's first-hit-wins behaviour for duplicate intervals.
 struct WorseThan {
   const std::vector<interval::Interval>* candidates;
-  bool deterministic;
 
   bool operator()(const HeapEntry& a, const HeapEntry& b) const {
     if (a.gain != b.gain) return a.gain < b.gain;
-    if (deterministic) {
-      const interval::Interval& ia = (*candidates)[a.index];
-      const interval::Interval& ib = (*candidates)[b.index];
-      if (ia != ib) return interval::ByPosition(ib, ia);
-    }
+    const interval::Interval& ia = (*candidates)[a.index];
+    const interval::Interval& ib = (*candidates)[b.index];
+    if (ia != ib) return interval::ByPosition(ib, ia);
     return a.index > b.index;
   }
 };
+
+// Heap entries (gain not yet set) for every candidate that is not strictly
+// dominated, i.e. for which no other candidate has a smaller begin and an
+// end at least as large. Such a container always has at least the same
+// gain and wins every gain tie on ByPosition, so a dominated candidate is
+// never the argmax (DESIGN.md §4c). Candidates with equal begins never
+// dominate each other: ByPosition prefers the shorter one.
+//
+// One sweep in begin order keeps the largest end over strictly earlier
+// begins. Generators return ByPosition-sorted candidates, so the sweep
+// normally runs over the input as it is; other inputs get an index sort by
+// begin (the order within one begin does not change the verdicts).
+std::vector<HeapEntry> UndominatedEntries(
+    const std::vector<interval::Interval>& candidates) {
+  std::vector<HeapEntry> entries;
+  entries.reserve(candidates.size());
+  int64_t max_end_before = 0;  // over candidates with a smaller begin
+  int64_t group_begin = 0;
+  int64_t group_max_end = 0;
+  auto visit = [&](size_t index) {
+    const interval::Interval& iv = candidates[index];
+    if (iv.begin != group_begin) {
+      max_end_before = std::max(max_end_before, group_max_end);
+      group_begin = iv.begin;
+    }
+    group_max_end = std::max(group_max_end, iv.end);
+    if (iv.end > max_end_before) entries.push_back(HeapEntry{0, index});
+  };
+  if (std::is_sorted(candidates.begin(), candidates.end(),
+                     interval::ByPosition)) {
+    for (size_t k = 0; k < candidates.size(); ++k) visit(k);
+  } else {
+    std::vector<size_t> order(candidates.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&candidates](size_t a, size_t b) {
+      return candidates[a].begin < candidates[b].begin;
+    });
+    for (const size_t k : order) visit(k);
+  }
+  return entries;
+}
 
 }  // namespace
 
@@ -131,23 +168,23 @@ CoverResult GreedyPartialSetCover(
   CoverageTracker coverage(n);
   CoverStats& stats = result.stats;
 
-  // Seed the initial gains in parallel (read-only Fenwick queries into
-  // disjoint slots), then heapify once. With nothing covered yet every gain
-  // equals the interval length, but routing through the tracker keeps the
-  // seeding correct for any future warm-start coverage.
+  // Drop the strictly dominated candidates, then seed the survivors' gains
+  // in parallel (read-only Fenwick queries into disjoint slots) and heapify
+  // once. With nothing covered yet every gain equals the interval length,
+  // but routing through the tracker keeps the seeding correct for any
+  // future warm-start coverage.
   util::Stopwatch seed_timer;
-  std::vector<HeapEntry> heap(candidates.size());
-  const WorseThan worse{&candidates, options.deterministic_tie_break};
+  const WorseThan worse{&candidates};
+  std::vector<HeapEntry> heap;
   {
     CR_TRACE_SPAN_ARGS("cover.seed", "k",
                        static_cast<int64_t>(candidates.size()));
-    util::ParallelFor(
-        static_cast<int64_t>(candidates.size()), options.num_threads,
-        [&heap, &coverage, &candidates](int64_t k) {
-          heap[static_cast<size_t>(k)] =
-              HeapEntry{coverage.Gain(candidates[static_cast<size_t>(k)]),
-                        static_cast<size_t>(k)};
-        });
+    heap = UndominatedEntries(candidates);
+    util::ParallelFor(static_cast<int64_t>(heap.size()), options.num_threads,
+                      [&heap, &coverage, &candidates](int64_t k) {
+                        HeapEntry& entry = heap[static_cast<size_t>(k)];
+                        entry.gain = coverage.Gain(candidates[entry.index]);
+                      });
     std::make_heap(heap.begin(), heap.end(), worse);
   }
   stats.seed_seconds = seed_timer.ElapsedSeconds();

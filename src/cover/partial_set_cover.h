@@ -18,12 +18,17 @@
 //   - marking a chosen interval walks a "next-uncovered" skip-pointer array
 //     (union-find with path halving), so the total marking cost across all
 //     picks is O(n alpha(n)) instead of O(total chosen length),
-//   - the initial k gains are seeded in parallel on the shared ThreadPool
-//     (CoverOptions::num_threads; the heap itself is built sequentially).
-// The chosen set is bit-identical to the naive rescan for both tie-break
-// modes (tests/reference_cover.h keeps the naive code as the differential
-// oracle). Complexity: O(k + n alpha(n) + (rounds + stale) log k) pops plus
-// O((k + newly covered) log n) Fenwick traffic, vs O(rounds * (n + k)).
+//   - strictly dominated candidates (another candidate starts earlier and
+//     ends no earlier) never enter the heap: under the gain-then-position
+//     tie-break such a candidate can never be picked (DESIGN.md §4c). One
+//     O(k) sweep over ByPosition order finds them,
+//   - the initial gains of the survivors are seeded in parallel on the
+//     shared ThreadPool (CoverOptions::num_threads; the heap itself is built
+//     sequentially).
+// The chosen set is bit-identical to the naive rescan (tests/reference_cover.h
+// keeps the naive code as the differential oracle). Complexity: O(k + n
+// alpha(n) + (rounds + stale) log k) pops plus O((k + newly covered) log n)
+// Fenwick traffic, vs O(rounds * (n + k)).
 
 #ifndef CONSERVATION_COVER_PARTIAL_SET_COVER_H_
 #define CONSERVATION_COVER_PARTIAL_SET_COVER_H_
@@ -51,9 +56,11 @@ struct CoverStats {
   // O((n + rounds) alpha(n)) — NOT by the total chosen length; asserted in
   // tests/cover_lazy_differential_test.cc on nested adversarial inputs.
   int64_t tick_visits = 0;
-  // Heap size high-water mark (== k after seeding; re-pushes never grow it).
+  // Heap size high-water mark: the number of candidates that are not
+  // strictly dominated, all of which are seeded (re-pushes never grow it).
   int64_t peak_heap_size = 0;
-  // Wall time of the parallel gain seeding (heap build included).
+  // Wall time of the dominance sweep plus the parallel gain seeding (heap
+  // build included).
   double seed_seconds = 0.0;
   // Wall time of the pop/re-evaluate/mark selection loop.
   double select_seconds = 0.0;
@@ -77,11 +84,10 @@ struct CoverResult {
 };
 
 struct CoverOptions {
-  // Fraction of {1..n} that must be covered, in [0, 1].
+  // Fraction of {1..n} that must be covered, in [0, 1]. Ties on marginal
+  // coverage always go to the ByPosition-smallest interval, then to the
+  // lowest input index.
   double s_hat = 1.0;
-  // When true (default), ties on marginal coverage are broken toward the
-  // earliest-starting interval, making results deterministic and stable.
-  bool deterministic_tie_break = true;
   // Threads for seeding the initial gains (1 = sequential, 0 = hardware
   // concurrency). The chosen set is identical for every setting.
   int num_threads = 1;

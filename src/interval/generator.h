@@ -146,8 +146,10 @@ struct GeneratorStats {
   // Total work time: summed across workers. Equals wall_seconds for a
   // sequential run; approaches shards * wall_seconds under perfect scaling.
   double seconds = 0.0;
-  // End-to-end elapsed time of Generate — the number to plot for parallel
-  // scaling. Set once by the execution driver, never merged.
+  // End-to-end elapsed time of GenerateCandidates — the number to plot for
+  // parallel scaling. Set by internal::RunSharded, and reset at the end of
+  // the call by a generator that reorders RunSharded's output (NAB); never
+  // merged.
   double wall_seconds = 0.0;
   // Workers the driver dispatched (1 for sequential runs).
   int shards = 1;

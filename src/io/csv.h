@@ -13,7 +13,8 @@
 namespace conservation::io {
 
 struct CsvReadOptions {
-  // 0-based column indices of the outbound (a) and inbound (b) counts.
+  // 0-based column indices of the outbound (a) and inbound (b) counts; a
+  // negative index fails the read with InvalidArgument.
   int column_a = 0;
   int column_b = 1;
   char separator = ',';
@@ -23,7 +24,10 @@ struct CsvReadOptions {
   bool skip_malformed_rows = false;
 };
 
-// Reads a CountSequence from a CSV file.
+// Reads a CountSequence from a CSV file. Fields parse as util::ParseDouble
+// does (tests/reference_csv.h keeps the line-by-line reader this one
+// replaced, as the differential oracle); a row with too few fields or an
+// unparsable count is "path:line: malformed row" unless skipped.
 util::Result<series::CountSequence> ReadCountsCsv(
     const std::string& path, const CsvReadOptions& options = {});
 

@@ -1,13 +1,16 @@
 // Differential test: the lazy-heap + Fenwick GreedyPartialSetCover must be
 // bit-identical to the preserved naive implementation
 // (tests/reference_cover.h) — same chosen intervals in the same order, same
-// chosen_indices, covered, required, satisfied — across both tie-break
-// modes, adversarial candidate shapes (nested chains, duplicate-heavy,
-// width-1 staircases), the s_hat extremes, unsatisfiable instances, and
-// parallel seeding thread counts.
+// chosen_indices, covered, required, satisfied, rounds and tick_visits —
+// across adversarial candidate shapes (nested chains, duplicate-heavy,
+// width-1 staircases, same-start containment, unsorted input, NAB-shaped
+// families), the s_hat extremes, unsatisfiable instances, and parallel
+// seeding thread counts. Every case also checks that exactly the candidates
+// no other candidate strictly dominates enter the heap.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cover/partial_set_cover.h"
@@ -19,19 +22,39 @@ namespace {
 
 using interval::Interval;
 
+// Candidates for which no other candidate has a smaller begin and an end at
+// least as large, counted by brute force.
+int64_t CountUndominated(const std::vector<Interval>& candidates) {
+  int64_t count = 0;
+  for (const Interval& iv : candidates) {
+    const bool dominated = std::any_of(
+        candidates.begin(), candidates.end(), [&iv](const Interval& other) {
+          return other.begin < iv.begin && other.end >= iv.end;
+        });
+    if (!dominated) ++count;
+  }
+  return count;
+}
+
 void ExpectIdentical(const std::vector<Interval>& candidates, int64_t n,
                      const CoverOptions& options) {
   const CoverResult lazy = GreedyPartialSetCover(candidates, n, options);
   const CoverResult naive =
       ReferenceGreedyPartialSetCover(candidates, n, options);
   ASSERT_EQ(lazy.chosen, naive.chosen)
-      << "n=" << n << " m=" << candidates.size()
-      << " deterministic=" << options.deterministic_tie_break
-      << " s_hat=" << options.s_hat << " threads=" << options.num_threads;
+      << "n=" << n << " m=" << candidates.size() << " s_hat=" << options.s_hat
+      << " threads=" << options.num_threads;
   EXPECT_EQ(lazy.chosen_indices, naive.chosen_indices);
   EXPECT_EQ(lazy.covered, naive.covered);
   EXPECT_EQ(lazy.required, naive.required);
   EXPECT_EQ(lazy.satisfied, naive.satisfied);
+  EXPECT_EQ(lazy.stats.rounds, naive.stats.rounds);
+  EXPECT_EQ(lazy.stats.tick_visits, naive.stats.tick_visits);
+  // Only the undominated candidates are seeded (none at all when the cover
+  // has nothing to do).
+  const bool runs = lazy.required > 0 && !candidates.empty();
+  EXPECT_EQ(lazy.stats.peak_heap_size,
+            runs ? CountUndominated(candidates) : 0);
   // Internal consistency of the stats the lazy path reports.
   EXPECT_EQ(lazy.stats.rounds, static_cast<int64_t>(lazy.chosen.size()));
   EXPECT_GE(lazy.stats.heap_pops, lazy.stats.rounds);
@@ -42,14 +65,11 @@ void ExpectIdentical(const std::vector<Interval>& candidates, int64_t n,
 void ExpectIdenticalAllModes(const std::vector<Interval>& candidates,
                              int64_t n) {
   for (const double s_hat : {0.0, 0.5, 1.0}) {
-    for (const bool deterministic : {true, false}) {
-      for (const int threads : {1, 3}) {
-        CoverOptions options;
-        options.s_hat = s_hat;
-        options.deterministic_tie_break = deterministic;
-        options.num_threads = threads;
-        ExpectIdentical(candidates, n, options);
-      }
+    for (const int threads : {1, 3}) {
+      CoverOptions options;
+      options.s_hat = s_hat;
+      options.num_threads = threads;
+      ExpectIdentical(candidates, n, options);
     }
   }
 }
@@ -98,11 +118,81 @@ TEST(CoverLazyDifferentialTest, SingleTickUniverse) {
 }
 
 TEST(CoverLazyDifferentialTest, EqualGainDistinctPositions) {
-  // Three disjoint equal-length intervals in scrambled input order: the
-  // deterministic mode must pick by position, the non-deterministic mode by
-  // input index.
+  // Three disjoint equal-length intervals in scrambled input order: picks
+  // go by position, not by input index.
   ExpectIdenticalAllModes({{11, 15}, {1, 5}, {21, 25}}, 30);
 }
+
+TEST(CoverLazyDifferentialTest, UnsortedInputTakesTheSortPath) {
+  // Scrambled input order: the dominance sweep must sort by begin first.
+  // [1, 9] dominates [2, 9], [3, 4] and [5, 9], and [10, 12] dominates
+  // [12, 12]. [1, 3] and [10, 11] share a start with a longer candidate and
+  // stay.
+  ExpectIdenticalAllModes(
+      {{5, 9}, {10, 12}, {1, 9}, {3, 4}, {10, 11}, {2, 9}, {12, 12}, {1, 3}},
+      12);
+}
+
+TEST(CoverLazyDifferentialTest, SameStartContainmentChainsStay) {
+  // Every candidate starts at 1 or at 21: none strictly dominates another,
+  // and on an equal gain ByPosition picks the shorter one, so all of them
+  // must stay in the heap.
+  const int64_t n = 40;
+  std::vector<Interval> candidates;
+  for (int64_t end = 1; end <= 20; ++end) candidates.push_back({1, end});
+  for (int64_t end = 21; end <= n; end += 3) candidates.push_back({21, end});
+  ExpectIdenticalAllModes(candidates, n);
+  CoverOptions options;
+  options.s_hat = 1.0;
+  EXPECT_EQ(GreedyPartialSetCover(candidates, n, options).stats.peak_heap_size,
+            static_cast<int64_t>(candidates.size()));
+}
+
+TEST(CoverLazyDifferentialTest, ExactDuplicatesOfDominatedAndUndominated) {
+  // Copies of an undominated interval all stay (the lowest index wins);
+  // copies of a dominated one all go.
+  ExpectIdenticalAllModes({{3, 8}, {1, 10}, {3, 8}, {1, 10}, {12, 15},
+                           {12, 15}, {13, 14}, {13, 14}},
+                          16);
+}
+
+TEST(CoverLazyDifferentialTest, DeepStrictlyNestedChain) {
+  // 500 strictly nested intervals: only the outermost survives the sweep.
+  const int64_t n = 1000;
+  std::vector<Interval> candidates;
+  for (int64_t i = 1; i <= n / 2; ++i) {
+    candidates.push_back(Interval{i, n + 1 - i});
+  }
+  ExpectIdenticalAllModes(candidates, n);
+  CoverOptions options;
+  options.s_hat = 0.5;
+  EXPECT_EQ(GreedyPartialSetCover(candidates, n, options).stats.peak_heap_size,
+            1);
+}
+
+class CoverLazyDifferentialNabShaped
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CoverLazyDifferentialNabShaped, MatchesReference) {
+  // The shape NAB emits: at most one candidate per right anchor, so ends
+  // strictly increase, while begins jump back and forth. Both the
+  // generators' ByPosition order and the raw end order are checked.
+  util::Rng rng(GetParam());
+  const int64_t n = 150;
+  std::vector<Interval> by_end;
+  for (int64_t j = 1; j <= n; ++j) {
+    if (rng.Bernoulli(0.2)) continue;
+    by_end.push_back(Interval{rng.UniformInt(std::max<int64_t>(1, j - 40), j),
+                              j});
+  }
+  std::vector<Interval> by_position = by_end;
+  std::sort(by_position.begin(), by_position.end(), interval::ByPosition);
+  ExpectIdenticalAllModes(by_position, n);
+  ExpectIdenticalAllModes(by_end, n);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoverLazyDifferentialNabShaped,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 // Randomized sweep mixing random spans, duplicates, nested pairs, and
 // width-1 intervals.

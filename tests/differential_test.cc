@@ -19,6 +19,7 @@
 #include "interval/generator.h"
 #include "io/csv.h"
 #include "series/preprocess.h"
+#include "tests/reference_csv.h"
 #include "util/random.h"
 
 namespace conservation {
@@ -207,11 +208,16 @@ TEST(CsvFuzzTest, GarbageInputsNeverCrash) {
     io::CsvReadOptions options;
     options.skip_malformed_rows = rng.Bernoulli(0.5);
     options.has_header = rng.Bernoulli(0.5);
-    // Must return ok or a clean error — never crash or hang.
+    // Must return ok or a clean error — never crash or hang — and read the
+    // file exactly as the line-by-line reference does.
     const auto result = io::ReadCountsCsv(path, options);
     if (result.ok()) {
       EXPECT_GE(result->n(), 1);
     }
+    EXPECT_EQ(io::CsvReadMismatch(result,
+                                  io::ReferenceReadCountsCsv(path, options)),
+              "")
+        << "round " << round;
   }
   std::remove(path.c_str());
 }

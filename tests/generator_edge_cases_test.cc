@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/confidence.h"
 #include "interval/generator.h"
@@ -208,6 +209,53 @@ TEST(GeneratorEdgeCases, FractionalCounts) {
       const auto conf = eval.Confidence(iv.begin, iv.end);
       ASSERT_TRUE(conf.has_value());
       EXPECT_GE(*conf, 0.5 / 1.01) << AlgorithmKindName(kind);
+    }
+  }
+}
+
+TEST(GeneratorEdgeCases, CandidatesLeaveInPositionOrder) {
+  // GenerateCandidates returns candidates strictly increasing by position
+  // at every thread count. NAB probes right anchors and reorders its output
+  // by begin; a delayed outbound prefix makes many anchors share begin 1,
+  // so that reorder must also keep ends ascending within one begin.
+  std::vector<double> a(600, 4.0);
+  std::vector<double> b(600, 4.0);
+  std::fill(a.begin(), a.begin() + 200, 0.0);
+  a[200] = 4.0 * 201;  // the delayed responses all arrive at tick 201
+  for (size_t t = 300; t < 600; t += 7) a[t] = 1.0;
+  auto counts = CountSequence::Create(a, b);
+  ASSERT_TRUE(counts.ok());
+  const CumulativeSeries cumulative(*counts);
+  const ConfidenceEvaluator eval(&cumulative, ConfidenceModel::kBalance);
+  for (const AlgorithmKind kind : kAllKinds) {
+    for (const TableauType type : {TableauType::kHold, TableauType::kFail}) {
+      for (const int threads : {1, 3}) {
+        GeneratorOptions options;
+        options.type = type;
+        options.c_hat = type == TableauType::kHold ? 0.9 : 0.6;
+        options.epsilon = 0.1;
+        options.num_threads = threads;
+        const std::vector<Interval> out =
+            MakeGenerator(kind)->Generate(eval, options, nullptr);
+        ASSERT_FALSE(out.empty()) << AlgorithmKindName(kind);
+        const auto unordered = std::adjacent_find(
+            out.begin(), out.end(), [](const Interval& x, const Interval& y) {
+              return !ByPosition(x, y);
+            });
+        EXPECT_EQ(unordered, out.end())
+            << AlgorithmKindName(kind) << " threads=" << threads << " at "
+            << unordered->ToString();
+        const bool right_anchored = kind == AlgorithmKind::kNonAreaBased ||
+                                    kind == AlgorithmKind::kNonAreaBasedOpt;
+        if (right_anchored && type == TableauType::kFail) {
+          EXPECT_GE(std::count_if(out.begin(), out.end(),
+                                  [](const Interval& iv) {
+                                    return iv.begin == 1;
+                                  }),
+                    2)
+              << AlgorithmKindName(kind);
+        }
+      }
     }
   }
 }

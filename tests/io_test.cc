@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "io/csv.h"
 #include "io/table_printer.h"
@@ -78,6 +81,43 @@ TEST(CsvTest, BlankLinesSkipped) {
   auto loaded = ReadCountsCsv(file.path());
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->n(), 2);
+}
+
+TEST(CsvTest, NegativeColumnIsInvalidArgument) {
+  TempFile file("negative_column.csv");
+  {
+    std::ofstream out(file.path());
+    out << "a,b\n1,2\n";
+  }
+  for (const auto& [column_a, column_b] :
+       {std::pair{-1, 1}, std::pair{0, -5000000}, std::pair{-7, -7}}) {
+    CsvReadOptions options;
+    options.column_a = column_a;
+    options.column_b = column_b;
+    options.skip_malformed_rows = true;
+    const auto loaded = ReadCountsCsv(file.path(), options);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().ToString().find("columns must be >= 0"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(CsvTest, LargestColumnIsAMalformedRow) {
+  // INT_MAX is a valid column index that no row reaches; counting the
+  // needed columns must not overflow.
+  TempFile file("large_column.csv");
+  {
+    std::ofstream out(file.path());
+    out << "a,b\n1,2\n";
+  }
+  CsvReadOptions options;
+  options.column_b = std::numeric_limits<int>::max();
+  const auto loaded = ReadCountsCsv(file.path(), options);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().ToString(),
+            "INVALID_ARGUMENT: " + file.path() + ":2: malformed row");
 }
 
 TEST(CsvTest, WriteColumns) {

@@ -7,8 +7,11 @@
 // covered prefix sums, and marking walks every tick of the pick.
 //
 // The lazy implementation must be BIT-IDENTICAL to this one — same chosen
-// intervals in the same order, same covered/required/satisfied — for both
-// tie-break modes (DESIGN.md "Lazy greedy cover").
+// intervals in the same order, same covered/required/satisfied
+// (DESIGN.md "Lazy greedy cover"). The reference also reports stats.rounds
+// and stats.tick_visits, the latter by replaying its picks, in pick order,
+// through a CoverageTracker: equal tick_visits means the lazy cover marked
+// the same intervals in the same order.
 
 #ifndef CONSERVATION_TESTS_REFERENCE_COVER_H_
 #define CONSERVATION_TESTS_REFERENCE_COVER_H_
@@ -61,8 +64,7 @@ inline CoverResult ReferenceGreedyPartialSetCover(
           covered_prefix[static_cast<size_t>(iv.begin - 1)];
       const int64_t gain = iv.length() - already;
       bool better = gain > best_gain;
-      if (options.deterministic_tie_break && gain == best_gain && gain > 0 &&
-          best_index < candidates.size()) {
+      if (gain == best_gain && gain > 0 && best_index < candidates.size()) {
         better = interval::ByPosition(iv, candidates[best_index]);
       }
       if (better) {
@@ -85,6 +87,11 @@ inline CoverResult ReferenceGreedyPartialSetCover(
       }
     }
   }
+
+  CoverageTracker replay(n);
+  for (const size_t index : picked) replay.Mark(candidates[index]);
+  result.stats.rounds = static_cast<int64_t>(picked.size());
+  result.stats.tick_visits = replay.tick_visits();
 
   result.satisfied = result.covered >= result.required;
   std::sort(picked.begin(), picked.end(), [&candidates](size_t a, size_t b) {

@@ -4,8 +4,8 @@
 // (disjoint-slot writes into the pre-sized heap vector) fails the suite.
 //
 // Runs the cover at 1 and 4 threads over candidate families that stress the
-// heap (shingles, nested chains, duplicates) in both tie-break modes and
-// exits nonzero on any divergence — thread count must never change the
+// heap (shingles, nested chains, duplicates) and exits nonzero on any
+// divergence — thread count must never change the
 // chosen set.
 
 #include <algorithm>
@@ -43,32 +43,28 @@ int main() {
 
   int failures = 0;
   for (const Family& family : families) {
-    for (const bool deterministic : {true, false}) {
-      cover::CoverOptions options;
-      options.s_hat = 0.95;
-      options.deterministic_tie_break = deterministic;
+    cover::CoverOptions options;
+    options.s_hat = 0.95;
 
-      options.num_threads = 1;
-      const cover::CoverResult sequential =
-          cover::GreedyPartialSetCover(family.candidates, n, options);
+    options.num_threads = 1;
+    const cover::CoverResult sequential =
+        cover::GreedyPartialSetCover(family.candidates, n, options);
 
-      options.num_threads = 4;
-      const cover::CoverResult parallel =
-          cover::GreedyPartialSetCover(family.candidates, n, options);
+    options.num_threads = 4;
+    const cover::CoverResult parallel =
+        cover::GreedyPartialSetCover(family.candidates, n, options);
 
-      const bool identical = parallel.chosen == sequential.chosen &&
-                             parallel.chosen_indices ==
-                                 sequential.chosen_indices &&
-                             parallel.covered == sequential.covered &&
-                             parallel.satisfied == sequential.satisfied;
-      std::printf("%-11s det=%d m=%zu rounds=%lld pops=%lld %s\n",
-                  family.name, deterministic ? 1 : 0,
-                  family.candidates.size(),
-                  static_cast<long long>(parallel.stats.rounds),
-                  static_cast<long long>(parallel.stats.heap_pops),
-                  identical ? "OK" : "MISMATCH");
-      if (!identical) ++failures;
-    }
+    const bool identical =
+        parallel.chosen == sequential.chosen &&
+        parallel.chosen_indices == sequential.chosen_indices &&
+        parallel.covered == sequential.covered &&
+        parallel.satisfied == sequential.satisfied;
+    std::printf("%-11s m=%zu rounds=%lld pops=%lld %s\n", family.name,
+                family.candidates.size(),
+                static_cast<long long>(parallel.stats.rounds),
+                static_cast<long long>(parallel.stats.heap_pops),
+                identical ? "OK" : "MISMATCH");
+    if (!identical) ++failures;
   }
   if (failures > 0) {
     std::fprintf(stderr, "cover_smoke: %d config(s) diverged\n", failures);

@@ -71,8 +71,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.h"
@@ -232,6 +234,14 @@ int main(int argc, char** argv) {
   if (!col_a.ok()) return Fail(col_a.status().ToString());
   if (!col_b.ok()) return Fail(col_b.status().ToString());
   if (!no_header.ok()) return Fail(no_header.status().ToString());
+  for (const auto& [name, col] : {std::pair{"col_a", *col_a},
+                                   std::pair{"col_b", *col_b}}) {
+    if (col < 0 || col > std::numeric_limits<int>::max()) {
+      return Fail(util::StrFormat("--%s must be in [0, %d], got %lld", name,
+                                  std::numeric_limits<int>::max(),
+                                  static_cast<long long>(col)));
+    }
+  }
   read_options.column_a = static_cast<int>(*col_a);
   read_options.column_b = static_cast<int>(*col_b);
   read_options.has_header = !*no_header;

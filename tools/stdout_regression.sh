@@ -11,18 +11,26 @@
 # any two runs (even at the same thread count) and are zeroed before the
 # comparison — every counter field stays under the bit-identity contract.
 #
-# Extra arguments (e.g. --sketch_block=8) are appended to every run. When
-# any are given, one more run adds --sketch=off and is diffed against the
-# others: the sketch screen only skips anchors that cannot emit, so stdout
-# must not change. Its `generation: ... tested=` count on stderr must also
-# be strictly higher than the screened run's, which proves the screen ran.
+# Extra arguments (e.g. --sketch_block=8 or --algorithm=nab_opt) are
+# appended to every run. With --sketch_check first, one more run adds
+# --sketch=off and is diffed against the others: the sketch screen only
+# skips anchors that cannot emit, so stdout must not change. Its
+# `generation: ... tested=` count on stderr must also be strictly higher
+# than the screened run's, which proves the screen ran.
 #
-# Usage: tools/stdout_regression.sh CRDISCOVER_BINARY INPUT_CSV [ARG...]
+# Usage: tools/stdout_regression.sh [--sketch_check] CRDISCOVER_BINARY
+#            INPUT_CSV [ARG...]
 set -euo pipefail
 source "$(dirname "$0")/smoke_lib.sh"
 
+sketch_check=0
+if [[ $# -ge 1 && "$1" == "--sketch_check" ]]; then
+  sketch_check=1
+  shift
+fi
 if [[ $# -lt 2 ]]; then
-  echo "usage: stdout_regression.sh CRDISCOVER_BINARY INPUT_CSV [ARG...]" >&2
+  echo "usage: stdout_regression.sh [--sketch_check] CRDISCOVER_BINARY" \
+       "INPUT_CSV [ARG...]" >&2
   exit 2
 fi
 crdiscover="$1"
@@ -59,7 +67,7 @@ for threads in 2 4; do
   fi
 done
 
-if [[ ${#extra_args[@]} -eq 0 ]]; then
+if [[ ${sketch_check} -eq 0 ]]; then
   [[ ${status} -eq 0 ]] && echo "OK: stdout bit-identical across --threads=1,2,4"
   exit ${status}
 fi
