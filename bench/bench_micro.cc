@@ -5,16 +5,6 @@
 //   * Delta mode (min positive count vs 1) — affects AB's level count;
 //   * largest-first early exit;
 //   * greedy partial set cover.
-//
-// Sketch-screen record mode: --sketch_json=PATH runs each generator on
-// adversarial series families with the quantized-sketch anchor screen off
-// and on (interval/prune.h), asserts the candidate sets are bit-identical,
-// and records seconds + prune rate per (family, algorithm, mode) — plus
-// the series/store.h per-tier resident-footprint records. The repo-root
-// BENCH_sketch.json trajectory is generated this way; --quick=1 shrinks
-// the sizes for the ctest smoke, and --check_speedup=X gates the
-// high-prune family's best end-to-end speedup (and the cold tier's
-// <= 2 B/tick budget).
 
 #include <benchmark/benchmark.h>
 
@@ -31,9 +21,7 @@
 #include "incr/incremental.h"
 #include "interval/generator.h"
 #include "interval/kernel_simd.h"
-#include "interval/prune.h"
 #include "series/cumulative.h"
-#include "series/store.h"
 #include "stream/streaming_monitor.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -215,233 +203,6 @@ double TimeBest(int trials, int warmups, Body&& body) {
   return best;
 }
 
-// --- Sketch-screen record mode (--sketch_json=PATH) -----------------------
-//
-// Three series families spanning the screen's effectiveness range:
-//   low_conf_hold - fat inbound stream, a few isolated outbound spikes:
-//                   hold confidence is tiny everywhere and a high c_hat
-//                   prunes (nearly) every anchor. The acceptance-tracked
-//                   high-prune-rate family.
-//   uniform_pass  - a == b: confidence is 1 everywhere, nothing can be
-//                   pruned; measures the screen's overhead ceiling.
-//   joblog        - the stock job-log workload: moderate prune rates.
-series::CountSequence SketchFamily(const std::string& family, int64_t n) {
-  if (family == "joblog") return JobCounts(n);
-  std::vector<double> a(static_cast<size_t>(n), 0.0);
-  std::vector<double> b(static_cast<size_t>(n), 0.0);
-  util::Rng rng(41);
-  if (family == "low_conf_hold") {
-    for (int64_t t = 0; t < n; ++t) {
-      b[static_cast<size_t>(t)] = 2.0 + static_cast<double>(rng.Poisson(6.0));
-      if (t % 97 == 13) a[static_cast<size_t>(t)] = 1.0;
-    }
-  } else {  // uniform_pass
-    for (int64_t t = 0; t < n; ++t) {
-      const double v = 1.0 + static_cast<double>(rng.Poisson(3.0));
-      a[static_cast<size_t>(t)] = v;
-      b[static_cast<size_t>(t)] = v;
-    }
-  }
-  auto counts = series::CountSequence::Create(std::move(a), std::move(b));
-  CR_CHECK(counts.ok());
-  return std::move(counts).value();
-}
-
-int RunSketchBench(int argc, char** argv, const std::string& json_path) {
-  const bool quick = bench::IntFlag(argc, argv, "quick", 0) != 0;
-  const int repeats = static_cast<int>(
-      bench::IntFlag(argc, argv, "repeats", quick ? 1 : 3));
-  const int warmups = static_cast<int>(
-      bench::IntFlag(argc, argv, "warmups", quick ? 0 : 1));
-  const double check_speedup =
-      bench::DoubleFlag(argc, argv, "check_speedup", 0.0);
-  const int64_t sketch_block = bench::IntFlag(argc, argv, "sketch_block", 256);
-  bench::BenchJson json("sketch", json_path);
-  std::printf("dispatched backend: %s\n",
-              ii::SimdBackendName(ii::ActiveSimdBackend()));
-
-  const int64_t n = bench::IntFlag(argc, argv, "n", quick ? 20000 : 200000);
-  const int64_t n_exhaustive = quick ? 2000 : 20000;
-
-  struct Algo {
-    const char* name;
-    interval::AlgorithmKind kind;
-  };
-  const Algo algos[] = {
-      {"exhaustive", interval::AlgorithmKind::kExhaustive},
-      {"ab", interval::AlgorithmKind::kAreaBased},
-      {"ab_opt", interval::AlgorithmKind::kAreaBasedOpt},
-      {"nab", interval::AlgorithmKind::kNonAreaBased},
-  };
-  double best_high_prune_speedup = 0.0;
-  bool gate_failed = false;
-  for (const std::string family :
-       {"low_conf_hold", "uniform_pass", "joblog"}) {
-    for (const Algo& algo : algos) {
-      const int64_t algo_n =
-          algo.kind == interval::AlgorithmKind::kExhaustive ? n_exhaustive : n;
-      const series::CumulativeSeries cumulative(SketchFamily(family, algo_n));
-      const core::ConfidenceEvaluator eval(&cumulative,
-                                           core::ConfidenceModel::kBalance);
-      const auto generator = interval::MakeGenerator(algo.kind);
-      interval::GeneratorOptions options;
-      options.type = core::TableauType::kHold;
-      options.c_hat = 0.9;
-      options.epsilon = 0.01;
-      options.num_threads = 1;
-      options.sketch_block = sketch_block;
-
-      // Mode-interleaved best-of-R (see RunKernelBench on why interleaving
-      // beats blocked scheduling on shared machines), with the candidate
-      // bit-identity contract asserted on every timed pair.
-      double mode_seconds[2] = {0.0, 0.0};  // [0] = off, [1] = auto
-      interval::GeneratorStats auto_stats;
-      for (int rep = -warmups; rep < repeats; ++rep) {
-        std::vector<interval::Candidate> outputs[2];
-        for (int m = 0; m < 2; ++m) {
-          options.sketch = m == 0 ? interval::SketchMode::kOff
-                                  : interval::SketchMode::kAuto;
-          interval::GeneratorStats stats;
-          util::Stopwatch timer;
-          outputs[m] = generator->GenerateCandidates(eval, options, &stats);
-          const double seconds = timer.ElapsedSeconds();
-          if (rep >= 0 &&
-              (mode_seconds[m] == 0.0 || seconds < mode_seconds[m])) {
-            mode_seconds[m] = seconds;
-          }
-          if (m == 1) auto_stats = stats;
-        }
-        CR_CHECK(outputs[0].size() == outputs[1].size());
-        for (size_t k = 0; k < outputs[0].size(); ++k) {
-          CR_CHECK(outputs[0][k].interval == outputs[1][k].interval);
-          CR_CHECK(outputs[0][k].confidence == outputs[1][k].confidence);
-        }
-      }
-      const double speedup = mode_seconds[1] > 0.0
-                                 ? mode_seconds[0] / mode_seconds[1]
-                                 : 0.0;
-      interval::GeneratorStats off_stats;
-      json.AddSketch(algo_n, algo.name, family, 1, mode_seconds[0], "off",
-                     sketch_block, 0.0, off_stats);
-      json.AnnotateTrials(repeats, warmups);
-      json.AddSketch(algo_n, algo.name, family, 1, mode_seconds[1], "auto",
-                     sketch_block, speedup, auto_stats);
-      json.AnnotateTrials(repeats, warmups);
-      const double prune_rate =
-          static_cast<double>(auto_stats.anchors_pruned) /
-          static_cast<double>(algo_n);
-      std::printf("%-14s %-10s n=%7lld prune=%5.3f off %.4fs auto %.4fs "
-                  "speedup %.2fx\n",
-                  family.c_str(), algo.name,
-                  static_cast<long long>(algo_n), prune_rate,
-                  mode_seconds[0], mode_seconds[1], speedup);
-      if (family == "low_conf_hold") {
-        best_high_prune_speedup =
-            std::max(best_high_prune_speedup, speedup);
-      }
-    }
-  }
-
-  // Store tier footprints (series/store.h): estimated resident bytes per
-  // tick at each tier, with the cold tier gated at <= 2 B/tick.
-  {
-    const series::CumulativeSeries cumulative(SketchFamily("joblog", n));
-    series::SeriesStore store =
-        series::SeriesStore::Build(cumulative, sketch_block);
-    const auto per_tick = [&](size_t bytes) {
-      return static_cast<double>(bytes) / static_cast<double>(n);
-    };
-    const double full_bpt = per_tick(store.ResidentBytesEstimate());
-    store.Evict(series::SeriesStore::Tier::kSketch);
-    const double sketch_bpt = per_tick(store.ResidentBytesEstimate());
-    store.Evict(series::SeriesStore::Tier::kCold);
-    const double cold_bpt = per_tick(store.ResidentBytesEstimate());
-    json.AddStoreFootprint(n, "full", sketch_block, full_bpt);
-    json.AddStoreFootprint(n, "sketch", sketch_block, sketch_bpt);
-    json.AddStoreFootprint(n, "cold", sketch_block, cold_bpt);
-    std::printf("store tiers (B/tick): full %.2f sketch %.2f cold %.2f\n",
-                full_bpt, sketch_bpt, cold_bpt);
-    if (cold_bpt > 2.0) {
-      std::fprintf(stderr, "FAIL: cold tier %.2f B/tick > 2.0 budget\n",
-                   cold_bpt);
-      gate_failed = true;
-    }
-  }
-
-  // Auto-gate boundary assertion (--check_gate_overhead=F): at the smallest
-  // series the auto gate admits (n = kSketchAutoGateBlocks * sketch_block,
-  // see interval/prune.h for the sweep that fixed the constant), the screen
-  // must not slow generation down by more than fraction F on either the
-  // unprunable overhead-ceiling family (uniform_pass) or the prunable one
-  // (low_conf_hold, where it is expected to win outright). Guards the gate
-  // constant against overhead regressions in the screen's setup path.
-  const double check_gate_overhead =
-      bench::DoubleFlag(argc, argv, "check_gate_overhead", 0.0);
-  if (check_gate_overhead > 0.0) {
-    const int64_t n_gate = ii::kSketchAutoGateBlocks * sketch_block;
-    const int gate_repeats = std::max(repeats, 5);
-    for (const std::string family : {"low_conf_hold", "uniform_pass"}) {
-      const series::CumulativeSeries cumulative(SketchFamily(family, n_gate));
-      const core::ConfidenceEvaluator eval(&cumulative,
-                                           core::ConfidenceModel::kBalance);
-      const auto generator =
-          interval::MakeGenerator(interval::AlgorithmKind::kAreaBasedOpt);
-      interval::GeneratorOptions options;
-      options.type = core::TableauType::kHold;
-      options.c_hat = 0.9;
-      options.epsilon = 0.01;
-      options.num_threads = 1;
-      options.sketch_block = sketch_block;
-      double mode_seconds[2] = {0.0, 0.0};  // [0] = off, [1] = auto
-      for (int rep = -warmups; rep < gate_repeats; ++rep) {
-        for (int m = 0; m < 2; ++m) {
-          options.sketch = m == 0 ? interval::SketchMode::kOff
-                                  : interval::SketchMode::kAuto;
-          interval::GeneratorStats stats;
-          util::Stopwatch timer;
-          auto out = generator->GenerateCandidates(eval, options, &stats);
-          const double seconds = timer.ElapsedSeconds();
-          benchmark::DoNotOptimize(out);
-          if (rep >= 0 &&
-              (mode_seconds[m] == 0.0 || seconds < mode_seconds[m])) {
-            mode_seconds[m] = seconds;
-          }
-        }
-      }
-      const double overhead = mode_seconds[0] > 0.0
-                                  ? mode_seconds[1] / mode_seconds[0] - 1.0
-                                  : 0.0;
-      std::printf("gate boundary n=%lld %-14s off %.5fs auto %.5fs "
-                  "overhead %+.1f%%\n",
-                  static_cast<long long>(n_gate), family.c_str(),
-                  mode_seconds[0], mode_seconds[1], overhead * 100.0);
-      if (overhead > check_gate_overhead) {
-        std::fprintf(stderr,
-                     "FAIL: auto-gate boundary overhead %.1f%% > %.1f%% "
-                     "budget on %s\n",
-                     overhead * 100.0, check_gate_overhead * 100.0,
-                     family.c_str());
-        gate_failed = true;
-      }
-    }
-  }
-
-  if (check_speedup > 0.0) {
-    if (best_high_prune_speedup >= check_speedup) {
-      std::printf("speedup gate passed: %.2fx >= %.2fx on low_conf_hold\n",
-                  best_high_prune_speedup, check_speedup);
-    } else {
-      std::fprintf(stderr,
-                   "FAIL: best low_conf_hold speedup %.2fx < %.2fx\n",
-                   best_high_prune_speedup, check_speedup);
-      gate_failed = true;
-    }
-  }
-
-  json.Flush();
-  return gate_failed ? 1 : 0;
-}
-
 // --- Incremental-maintenance record mode (--incr_json=PATH) ---------------
 //
 // Amortized per-batch maintenance latency of incr::IncrementalDiscoverer
@@ -585,9 +346,6 @@ int RunIncrBench(int argc, char** argv, const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string sketch_json =
-      conservation::bench::StringFlag(argc, argv, "sketch_json", "");
-  if (!sketch_json.empty()) return RunSketchBench(argc, argv, sketch_json);
   const std::string incr_json =
       conservation::bench::StringFlag(argc, argv, "incr_json", "");
   if (!incr_json.empty()) return RunIncrBench(argc, argv, incr_json);

@@ -144,23 +144,6 @@ class BenchJson {
     int64_t k = 0;
     double cover_speedup = 0.0;  // naive seconds / lazy seconds (0 = n/a)
     cover::CoverStats cover_stats;
-    // Sketch-screen observability block (AddSketch): the screen mode
-    // ("auto" / "off") and block span are part of the record key in
-    // bench_diff.py; prune rate and the pruned/scanned counters come from
-    // GeneratorStats. sketch_speedup is off seconds / this run's seconds
-    // (0 on the off rows themselves).
-    bool has_sketch = false;
-    std::string sketch;
-    int64_t sketch_block = 0;
-    double prune_rate = 0.0;
-    uint64_t anchors_pruned = 0;
-    uint64_t sketch_scan_blocks = 0;
-    double sketch_speedup = 0.0;
-    // Store-footprint block (AddStoreFootprint): estimated resident bytes
-    // per tick of one series/store.h tier. Not a timing record — seconds
-    // stays 0 and bench_diff.py compares bytes_per_tick via its extras.
-    bool has_store = false;
-    double bytes_per_tick = 0.0;
     // Incremental-maintenance block (AddIncr): `incr_mode` is "incr"
     // (seconds = mean per-batch AppendBatch latency) or "fresh" (seconds =
     // one full from-scratch DiscoverTableau at the same n); mode and the
@@ -255,31 +238,6 @@ class BenchJson {
     records_.push_back(std::move(record));
   }
 
-  // Records one generator run of the sketch-screen ablation. `sketch` is
-  // "auto" or "off" (the screen setting the run used), `family` names the
-  // series family (the model key slot), `speedup` is off seconds / this
-  // run's seconds (pass 0 on the off rows). prune_rate is
-  // anchors_pruned / n.
-  void AddSketch(int64_t n, const std::string& algorithm,
-                 const std::string& family, int threads, double seconds,
-                 const std::string& sketch, int64_t sketch_block,
-                 double speedup, const interval::GeneratorStats& stats) {
-    if (!active()) return;
-    Record record = MakeRecord(n, algorithm, family, threads, seconds,
-                               stats.intervals_tested);
-    record.has_sketch = true;
-    record.sketch = sketch;
-    record.sketch_block = sketch_block;
-    record.prune_rate =
-        n > 0 ? static_cast<double>(stats.anchors_pruned) /
-                    static_cast<double>(n)
-              : 0.0;
-    record.anchors_pruned = stats.anchors_pruned;
-    record.sketch_scan_blocks = stats.sketch_blocks;
-    record.sketch_speedup = speedup;
-    records_.push_back(std::move(record));
-  }
-
   // Records one configuration of the incremental-maintenance ablation.
   // `mode` is "incr" or "fresh", `family` names the workload (the model key
   // slot), `batch` is the append-batch size (0 on fresh rows), `batches` the
@@ -329,18 +287,6 @@ class BenchJson {
     record.serve_rejected = rejected;
     record.serve_faults = faults;
     record.serve_evictions = evictions;
-    records_.push_back(std::move(record));
-  }
-
-  // Records the estimated resident footprint of one series/store.h tier.
-  void AddStoreFootprint(int64_t n, const std::string& tier,
-                         int64_t sketch_block, double bytes_per_tick) {
-    if (!active()) return;
-    Record record = MakeRecord(n, "store", tier, 1, /*seconds=*/0.0,
-                               /*intervals_tested=*/0);
-    record.has_store = true;
-    record.sketch_block = sketch_block;
-    record.bytes_per_tick = bytes_per_tick;
     records_.push_back(std::move(record));
   }
 
@@ -412,26 +358,6 @@ class BenchJson {
           json.Int(static_cast<int64_t>(claimed));
         }
         json.EndArray();
-      }
-      if (record.has_sketch) {
-        json.Key("sketch");
-        json.String(record.sketch);
-        json.Key("sketch_block");
-        json.Int(record.sketch_block);
-        json.Key("prune_rate");
-        json.Double(record.prune_rate);
-        json.Key("anchors_pruned");
-        json.Int(static_cast<int64_t>(record.anchors_pruned));
-        json.Key("sketch_scan_blocks");
-        json.Int(static_cast<int64_t>(record.sketch_scan_blocks));
-        json.Key("sketch_speedup");
-        json.Double(record.sketch_speedup);
-      }
-      if (record.has_store) {
-        json.Key("sketch_block");
-        json.Int(record.sketch_block);
-        json.Key("bytes_per_tick");
-        json.Double(record.bytes_per_tick);
       }
       if (record.has_incr) {
         json.Key("incr_mode");

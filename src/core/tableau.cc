@@ -36,11 +36,6 @@ util::Status ValidateTableauRequest(const TableauRequest& request) {
         "num_threads must be >= 0 (0 = hardware concurrency), got %d",
         request.num_threads));
   }
-  if (request.sketch_block < 8 || request.sketch_block > (int64_t{1} << 20)) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "sketch_block must be in [8, 1048576], got %lld",
-        static_cast<long long>(request.sketch_block)));
-  }
   const bool non_area_based =
       request.algorithm == interval::AlgorithmKind::kNonAreaBased ||
       request.algorithm == interval::AlgorithmKind::kNonAreaBasedOpt;
@@ -105,8 +100,6 @@ util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
   gen_options.stop_on_full_cover = request.stop_on_full_cover;
   gen_options.largest_first_early_exit = request.largest_first_early_exit;
   gen_options.num_threads = request.num_threads;
-  gen_options.sketch = request.sketch;
-  gen_options.sketch_block = request.sketch_block;
 
   Tableau tableau;
   tableau.type = request.type;

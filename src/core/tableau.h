@@ -39,12 +39,6 @@ struct TableauRequest {
   // layers that fan out whole requests): 1 = sequential, 0 = hardware
   // concurrency. Candidate output is identical for every setting.
   int num_threads = 1;
-  // Quantized-sketch anchor screen; see interval::GeneratorOptions::sketch.
-  // kAuto enables the conservative pre-pass on large series (candidates are
-  // bit-identical either way), kOff disables it. sketch_block is the ticks
-  // per sketch block; must be in [8, 1 << 20].
-  interval::SketchMode sketch = interval::SketchMode::kAuto;
-  int64_t sketch_block = 256;
 };
 
 struct TableauRow {

@@ -126,8 +126,7 @@ IncrementalDiscoverer::IncrementalDiscoverer(
       eval_(std::make_unique<core::ConfidenceEvaluator>(series_.get(),
                                                         request.model)) {
   // Sequential mirror of DiscoverTableau's options copy: the delta paths
-  // run per-anchor O(1) resumes, which neither shard nor consult the
-  // sketch screen (the per-anchor frontier already restricts re-walks).
+  // run per-anchor O(1) resumes, which do not shard.
   gen_options_.type = request.type;
   gen_options_.c_hat = request.c_hat;
   gen_options_.epsilon = request.epsilon;
@@ -135,8 +134,6 @@ IncrementalDiscoverer::IncrementalDiscoverer(
   gen_options_.stop_on_full_cover = false;
   gen_options_.largest_first_early_exit = request.largest_first_early_exit;
   gen_options_.num_threads = 1;
-  gen_options_.sketch = interval::SketchMode::kOff;
-  gen_options_.sketch_block = request.sketch_block;
   credit_fail_ = request.type == core::TableauType::kFail &&
                  request.model == core::ConfidenceModel::kCredit;
   fail_type_ = request.type == core::TableauType::kFail;
@@ -152,15 +149,6 @@ const core::Tableau& IncrementalDiscoverer::AppendBatch(const double* a,
   util::Stopwatch batch_timer;
   const series::CumulativeSeries::AppendResult delta =
       series_->Append(a, b, m);
-  if (!store_.empty()) {
-    if (series_->n() <= store_.capacity()) {
-      store_.Append(*series_, delta);
-    } else {
-      // Reserved capacity exhausted: detach rather than rebuild — arena
-      // growth policy is the owner's call, not the maintenance loop's.
-      store_ = series::SeriesStore();
-    }
-  }
   ProcessBatch(delta);
   IncrMetrics::Get().batch_seconds.Record(batch_timer.ElapsedSeconds());
   return tableau_;
@@ -170,12 +158,6 @@ const core::Tableau& IncrementalDiscoverer::AppendBatch(
     const std::vector<double>& a, const std::vector<double>& b) {
   CR_CHECK(a.size() == b.size());
   return AppendBatch(a.data(), b.data(), static_cast<int64_t>(a.size()));
-}
-
-bool IncrementalDiscoverer::AttachStore(int64_t capacity, int64_t block) {
-  if (block <= 0 || capacity < series_->n()) return false;
-  store_ = series::SeriesStore::Build(*series_, block, capacity);
-  return true;
 }
 
 void IncrementalDiscoverer::ProcessBatch(

@@ -35,7 +35,7 @@
 // generation_stats / cover_stats / timings describe execution shape and are
 // excluded. tests/incr_differential_test.cc enforces the contract across
 // all five generators, models, tableau types, batch patterns, fresh-side
-// thread counts and sketch settings.
+// thread counts and largest-first early exit.
 //
 // Correct-by-reset escape hatches (rare, counted in incr.* metrics):
 //   * Delta (the area base unit) decreasing re-levels every AB/AB-opt
@@ -45,13 +45,11 @@
 //     anchors i >= first_changed_s; those anchors' baselines moved, so they
 //     reset to fresh and re-walk (the balance model never dirties).
 //
-// Scope: sequential execution (the fresh side may use any thread count /
-// sketch mode — candidates are bit-identical by those knobs' contracts);
-// stop_on_full_cover is rejected (its emitted set depends on visit order,
-// which incremental maintenance cannot reproduce); the sketch screen is not
-// consulted on delta paths — the per-anchor frontier already restricts
-// re-walks to exactly the anchors whose reachable suffix changed, which
-// subsumes what a per-batch screen rebuild (O((n/block)^2)) would prune.
+// Scope: sequential execution (the fresh side may use any thread count —
+// candidates are bit-identical by that knob's contract); stop_on_full_cover
+// is rejected (its emitted set depends on visit order, which incremental
+// maintenance cannot reproduce). The per-anchor frontier restricts re-walks
+// to exactly the anchors whose reachable suffix changed.
 // The engine assumes B dominates A (paper §II; run series preprocessing
 // first), which is what makes the sparsification areas monotone and the
 // frontier O(1) probes sound — the same assumption the generators' binary
@@ -70,7 +68,6 @@
 #include "interval/interval.h"
 #include "series/cumulative.h"
 #include "series/sequence.h"
-#include "series/store.h"
 #include "util/status.h"
 
 namespace conservation::incr {
@@ -132,17 +129,6 @@ class IncrementalDiscoverer {
   const core::TableauRequest& request() const { return request_; }
   int64_t n() const { return series_->n(); }
   const IncrStats& stats() const { return stats_; }
-
-  // Optional columnar-arena maintenance: when enabled with a reserved
-  // capacity, every AppendBatch also grows a SeriesStore in place
-  // (series/store.h), keeping the sketch tier current for other tenants of
-  // the arena. The store is byte-identical to a fresh Build at the same
-  // capacity. Returns false when the capacity cannot hold the current n.
-  bool AttachStore(int64_t capacity,
-                   int64_t block = series::SeriesSketch::kDefaultBlock);
-  const series::SeriesStore* store() const {
-    return store_.empty() ? nullptr : &store_;
-  }
 
  private:
   // Per-anchor resume state for the area-based level walk. `level` is the
@@ -230,7 +216,6 @@ class IncrementalDiscoverer {
   // moves of the discoverer.
   std::unique_ptr<series::CumulativeSeries> series_;
   std::unique_ptr<core::ConfidenceEvaluator> eval_;
-  series::SeriesStore store_;  // empty unless AttachStore
 
   double prev_delta_ = 0.0;
   bool credit_fail_ = false;

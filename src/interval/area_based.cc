@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "interval/kernel.h"
-#include "interval/prune.h"
 #include "interval/shard.h"
 
 namespace conservation::interval {
@@ -87,16 +86,6 @@ std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
       credit_fail ? internal::ZeroPrefixLengths(n, growth)
                   : std::vector<int64_t>{};
 
-  // Sketch anchor screen (relaxed threshold), shared read-only by every
-  // chunk. Skipping a pruned anchor is safe here because the level pointers
-  // are pure amortization state: the breakpoint for (i, level) is a
-  // function of the series alone, and the pointers never retreat, so later
-  // anchors simply walk them forward from wherever the last unpruned
-  // anchor left them.
-  const internal::ScopedSketchScreen scoped(
-      eval, options, /*relaxed=*/true);
-  const internal::SketchScreen* screen = scoped.get();
-
   // Per-chunk anchor sweep. The level pointers are never-retreating within
   // a chunk (Lemma 3) and the breakpoint t is a function of (i, level)
   // alone — the pointer only amortizes the search for it — so re-basing the
@@ -127,14 +116,8 @@ std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
     uint64_t tested = 0;
     uint64_t steps = 0;
     uint64_t batches = 0;
-    uint64_t pruned = 0;
-    uint64_t sketch_blocks = 0;
 
     for (int64_t i = i_begin; i <= i_end; ++i) {
-      if (screen != nullptr && !screen->MayEmit(i, &sketch_blocks)) {
-        ++pruned;
-        continue;
-      }
       kernel.BeginAnchor(i);
       const size_t first_level = internal::AbFirstLevel(
           kernel.SparseArea(i), delta, growth, fail_type);
@@ -235,14 +218,10 @@ std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
     chunk_stats->intervals_tested = tested;
     chunk_stats->endpoint_steps = steps;
     chunk_stats->batches = batches;
-    chunk_stats->anchors_pruned = pruned;
-    chunk_stats->sketch_blocks = sketch_blocks;
     return out;
   };
 
-  auto result = internal::RunSharded(n, options, stats, block);
-  if (stats != nullptr) stats->sketch_blocks += scoped.construction_blocks();
-  return result;
+  return internal::RunSharded(n, options, stats, block);
 }
 
 }  // namespace conservation::interval

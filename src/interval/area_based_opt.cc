@@ -4,7 +4,6 @@
 
 #include "interval/area_based.h"
 #include "interval/kernel.h"
-#include "interval/prune.h"
 #include "interval/shard.h"
 
 namespace conservation::interval {
@@ -27,13 +26,6 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
       credit_fail ? internal::ZeroPrefixLengths(n, growth)
                   : std::vector<int64_t>{};
 
-  // Sketch anchor screen (relaxed threshold), shared read-only by every
-  // chunk. AB-opt anchors are stateless, so a pruned anchor simply starts
-  // no work.
-  const internal::ScopedSketchScreen scoped(
-      eval, options, /*relaxed=*/true);
-  const internal::SketchScreen* screen = scoped.get();
-
   // AB-opt carries no cross-anchor state (each anchor's breakpoints come
   // from fresh binary searches), so anchor chunks parallelize directly.
   // Inner sweeps run on the flat-array kernel (interval/kernel.h).
@@ -45,16 +37,10 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
     uint64_t tested = 0;
     uint64_t probes = 0;
     uint64_t batches = 0;
-    uint64_t pruned = 0;
-    uint64_t sketch_blocks = 0;
     std::vector<int64_t> breakpoints;
     std::vector<double> conf;
     std::vector<uint8_t> valid;
     for (int64_t i = i_begin; i <= i_end; ++i) {
-      if (screen != nullptr && !screen->MayEmit(i, &sketch_blocks)) {
-        ++pruned;
-        continue;
-      }
       kernel.BeginAnchor(i);
       breakpoints.clear();
 
@@ -110,14 +96,10 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
     chunk_stats->intervals_tested = tested;
     chunk_stats->endpoint_steps = probes;
     chunk_stats->batches = batches;
-    chunk_stats->anchors_pruned = pruned;
-    chunk_stats->sketch_blocks = sketch_blocks;
     return out;
   };
 
-  auto result = internal::RunSharded(n, options, stats, block);
-  if (stats != nullptr) stats->sketch_blocks += scoped.construction_blocks();
-  return result;
+  return internal::RunSharded(n, options, stats, block);
 }
 
 }  // namespace conservation::interval

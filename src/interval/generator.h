@@ -24,10 +24,6 @@
 #include "core/model.h"
 #include "interval/interval.h"
 
-namespace conservation::series {
-class SeriesSketch;
-}  // namespace conservation::series
-
 namespace conservation::interval {
 
 enum class AlgorithmKind {
@@ -60,17 +56,6 @@ enum class DeltaMode {
   kOne,
 };
 
-// Quantized-sketch anchor pruning (interval/prune.h). kAuto enables the
-// pre-pass whenever the series is long enough to amortize sketch
-// construction (n >= 2 * sketch_block); kOff disables it unconditionally.
-// The emitted candidate set is bit-identical either way — the screen only
-// skips anchors whose per-anchor optimum is provably empty — so this is a
-// pure performance knob (intervals_tested / endpoint_steps may shrink).
-enum class SketchMode {
-  kAuto,
-  kOff,
-};
-
 struct GeneratorOptions {
   core::TableauType type = core::TableauType::kHold;
   // Confidence threshold c_hat in [0, 1].
@@ -96,15 +81,6 @@ struct GeneratorOptions {
   // algorithm/model/tableau-type combination and every thread count.
   // 1 = sequential (default), 0 = hardware concurrency.
   int num_threads = 1;
-  // Sketch anchor-pruning policy and block span (ticks per sketch block).
-  // See SketchMode above; the block span trades screen resolution (smaller
-  // blocks prune more precisely) against sketch footprint and scan length.
-  SketchMode sketch = SketchMode::kAuto;
-  int64_t sketch_block = 256;
-  // Optional prebuilt sketch over the same series (series/store.h tier).
-  // When null and the screen is enabled, generators build a transient
-  // sketch per GenerateCandidates call. Must outlive the call.
-  const series::SeriesSketch* sketch_ptr = nullptr;
 };
 
 // Per-worker accounting from one sharded run. Pure observability: none of
@@ -136,13 +112,11 @@ struct GeneratorStats {
   uint64_t batches = 0;
   // Number of candidate intervals emitted.
   uint64_t candidates = 0;
-  // Sketch screen accounting (interval/prune.h): anchors skipped because
-  // the screen proved their per-anchor optimum empty, and sketch blocks
-  // scanned doing so (both screen construction and per-anchor rescans).
-  // Deterministic for a given series + options — the screen's decisions and
-  // scan order do not depend on threading or SIMD backend.
-  uint64_t anchors_pruned = 0;
-  uint64_t sketch_blocks = 0;
+  // Anchors skipped without testing. Every generator visits every anchor,
+  // so this is always 0. Like LaneOccupancy() below, it stays only because
+  // the frozen benchmark harness (perfbench/perfbench.cc) reports it as
+  // interval.prune_ratio.
+  static constexpr uint64_t anchors_pruned = 0;
   // Total work time: summed across workers. Equals wall_seconds for a
   // sequential run; approaches shards * wall_seconds under perfect scaling.
   double seconds = 0.0;
@@ -168,8 +142,6 @@ struct GeneratorStats {
     endpoint_steps += shard.endpoint_steps;
     batches += shard.batches;
     candidates += shard.candidates;
-    anchors_pruned += shard.anchors_pruned;
-    sketch_blocks += shard.sketch_blocks;
     seconds += shard.seconds;
   }
 

@@ -122,10 +122,6 @@ std::vector<Candidate> NonAreaBasedGenerator::GenerateCandidates(
   const std::vector<int64_t> lengths =
       MakeLengthSchedule(schedule_, options.epsilon, n);
 
-  // NAB runs without the sketch anchor screen: the length schedule already
-  // caps probes per anchor at O(log n), so a screen cannot amortize its
-  // construction here (DESIGN.md §4f).
-
   // Right anchors are probed in descending order within a chunk, and
   // chunks are claimed in descending anchor order (ChunkOrder::kDescending),
   // so the anchor that can produce [1, n] under stop_on_full_cover comes

@@ -63,8 +63,6 @@ struct GenerationMetrics {
   obs::Counter& confidence_evals;
   obs::Counter& endpoint_steps;
   obs::Counter& batches;
-  obs::Counter& anchors_pruned;
-  obs::Counter& sketch_scan_blocks;
   obs::Histogram& chunk_seconds;
   // Attribution of generation.chunks_claimed by how the chunk was won:
   // "fair" = within the worker's static fair share, "stolen" = claimed
@@ -85,8 +83,6 @@ struct GenerationMetrics {
           registry.Counter("kernel.confidence_evals"),
           registry.Counter("kernel.endpoint_steps"),
           registry.Counter("kernel.batches"),
-          registry.Counter("generation.anchors_pruned"),
-          registry.Counter("sketch.scan_blocks"),
           registry.Histogram("generation.chunk_seconds",
                              {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0}),
           chunks.With({{"kind", "fair"}}),
@@ -275,8 +271,6 @@ auto RunSharded(int64_t n, const GeneratorOptions& options,
   metrics.confidence_evals.Add(merged.intervals_tested);
   metrics.endpoint_steps.Add(merged.endpoint_steps);
   metrics.batches.Add(merged.batches);
-  metrics.anchors_pruned.Add(merged.anchors_pruned);
-  metrics.sketch_scan_blocks.Add(merged.sketch_blocks);
   if (stats != nullptr) *stats = std::move(merged);
   return out;
 }

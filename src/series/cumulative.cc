@@ -44,8 +44,6 @@ CumulativeSeries::CumulativeSeries(const CountSequence& counts)
 CumulativeSeries::AppendResult CumulativeSeries::Append(const double* a,
                                                         const double* b,
                                                         int64_t m) {
-  // Views alias external arenas and cannot grow; only owned series append.
-  CR_CHECK(view_a_ == nullptr);
   CR_CHECK(m >= 0);
   AppendResult result;
   result.old_n = n_;
@@ -95,21 +93,6 @@ CumulativeSeries::AppendResult CumulativeSeries::Append(const double* a,
   n_ = new_n;
   result.delta_decreased = delta_ < old_delta;
   return result;
-}
-
-CumulativeSeries CumulativeSeries::View(int64_t n, const double* a,
-                                        const double* b, const double* sa,
-                                        const double* sb, const double* s,
-                                        double delta) {
-  CumulativeSeries view;
-  view.n_ = n;
-  view.delta_ = delta;
-  view.view_a_ = a;
-  view.view_b_ = b;
-  view.view_sa_ = sa;
-  view.view_sb_ = sb;
-  view.view_s_ = s;
-  return view;
 }
 
 bool CumulativeSeries::Dominates(double tolerance) const {

@@ -29,15 +29,6 @@ class CumulativeSeries {
   // Builds all derived arrays in O(n).
   explicit CumulativeSeries(const CountSequence& counts);
 
-  // Zero-copy view over externally owned arrays laid out exactly like the
-  // owned vectors (a/b/sa/sb of length n+1, s of length n+2 with the
-  // +infinity sentinel at [n+1]); series/store.h uses this to run the
-  // generators straight off an mmap-ed arena. The arrays must outlive the
-  // view; `delta` is the stored minimum positive count.
-  static CumulativeSeries View(int64_t n, const double* a, const double* b,
-                               const double* sa, const double* sb,
-                               const double* s, double delta);
-
   int64_t n() const { return n_; }
 
   // Result of an in-place Append: which prefix state survived the batch.
@@ -58,8 +49,8 @@ class CumulativeSeries {
   // derived array with the constructor's exact recurrences so the result is
   // bitwise identical to rebuilding from the concatenated counts. The
   // suffix-min gaps are recomputed downward with a bitwise-equality early
-  // stop, so the cost is O(m + changed suffix). Owned series only (views
-  // cannot grow); counts must be non-negative.
+  // stop, so the cost is O(m + changed suffix). Counts must be
+  // non-negative.
   AppendResult Append(const double* a, const double* b, int64_t m);
 
   // Cumulative counts; valid for 0 <= l <= n. A(0) == B(0) == 0.
@@ -90,13 +81,11 @@ class CumulativeSeries {
   // (interval/kernel.h): contiguous arrays indexed exactly like the
   // accessors above (a_data()[l] == A(l), valid for 0 <= l <= n;
   // suffix_min_gap_data()[i] == SuffixMinGap(i), valid for 1 <= i <= n+1).
-  const double* a_data() const { return view_a_ ? view_a_ : A_.data(); }
-  const double* b_data() const { return view_b_ ? view_b_ : B_.data(); }
-  const double* sa_data() const { return view_sa_ ? view_sa_ : SA_.data(); }
-  const double* sb_data() const { return view_sb_ ? view_sb_ : SB_.data(); }
-  const double* suffix_min_gap_data() const {
-    return view_s_ ? view_s_ : suffix_min_gap_.data();
-  }
+  const double* a_data() const { return A_.data(); }
+  const double* b_data() const { return B_.data(); }
+  const double* sa_data() const { return SA_.data(); }
+  const double* sb_data() const { return SB_.data(); }
+  const double* suffix_min_gap_data() const { return suffix_min_gap_.data(); }
 
   // True when B dominates A (B_l >= A_l for all l), the standing assumption
   // of the paper. A small negative tolerance absorbs floating-point noise.
@@ -107,8 +96,6 @@ class CumulativeSeries {
   double TotalDelay() const { return sb_data()[n_] - sa_data()[n_]; }
 
  private:
-  CumulativeSeries() = default;
-
   int64_t n_ = 0;
   std::vector<double> A_;               // size n+1
   std::vector<double> B_;               // size n+1
@@ -116,13 +103,6 @@ class CumulativeSeries {
   std::vector<double> SB_;              // size n+1
   std::vector<double> suffix_min_gap_;  // size n+2; [n+1] = +infinity sentinel
   double delta_ = 0.0;
-  // External arrays for View instances; owners leave these null and resolve
-  // through the vectors, so copies and moves never dangle.
-  const double* view_a_ = nullptr;
-  const double* view_b_ = nullptr;
-  const double* view_sa_ = nullptr;
-  const double* view_sb_ = nullptr;
-  const double* view_s_ = nullptr;
 };
 
 }  // namespace conservation::series

@@ -3,10 +3,10 @@
 // DiscoverTableau over the full series (rows, covered, required,
 // support_satisfied, num_candidates — the exactness contract of
 // incr/incremental.h), across all five generators, models, tableau types and
-// batch patterns. The fresh side deliberately rotates thread counts, sketch
-// modes and largest-first early exit per batch: those knobs are
-// output-invariant by contract, so the incremental engine (sequential, no
-// sketch) must match every configuration.
+// batch patterns. The fresh side deliberately rotates thread count x
+// largest-first early exit per batch: those knobs are output-invariant by
+// contract, so the incremental engine (sequential) must match every
+// configuration.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "interval/generator.h"
 #include "series/cumulative.h"
 #include "series/sequence.h"
-#include "series/store.h"
 #include "tests/test_data.h"
 
 namespace conservation {
@@ -67,7 +66,6 @@ void RunReplay(const series::CountSequence& counts, TableauRequest request,
                int64_t initial_n, int64_t batch_size,
                const std::string& context) {
   request.num_threads = 1;
-  request.sketch = interval::SketchMode::kAuto;  // engine ignores; fresh varies
   auto discoverer =
       IncrementalDiscoverer::Create(counts.Prefix(initial_n), request);
   ASSERT_TRUE(discoverer.ok()) << discoverer.status().message() << context;
@@ -78,14 +76,13 @@ void RunReplay(const series::CountSequence& counts, TableauRequest request,
   int batch_index = 0;
   while (true) {
     // Fresh recompute over the same prefix, with contract-invariant knobs
-    // rotated so one replay exercises threads x sketch x largest-first.
+    // rotated so every four batches cover threads {1, 4} x largest-first
+    // {off, on}.
     const series::CumulativeSeries cumulative(counts.Prefix(at));
     const core::ConfidenceEvaluator eval(&cumulative, request.model);
     TableauRequest fresh_request = request;
     fresh_request.num_threads = (batch_index % 2 == 0) ? 1 : 4;
-    fresh_request.sketch = (batch_index % 3 == 0) ? interval::SketchMode::kOff
-                                                  : interval::SketchMode::kAuto;
-    fresh_request.largest_first_early_exit = batch_index % 2 == 1;
+    fresh_request.largest_first_early_exit = (batch_index / 2) % 2 == 1;
     const auto fresh = core::DiscoverTableau(eval, fresh_request);
     ASSERT_TRUE(fresh.ok()) << fresh.status().message() << context;
     ExpectSameTableau(discoverer->tableau(), fresh.value(),
@@ -252,42 +249,6 @@ TEST(IncrementalDiscoverer, CreditGapDropDirtiesAnchorsAndStaysIdentical) {
   const auto fresh = core::DiscoverTableau(eval, request);
   ASSERT_TRUE(fresh.ok());
   ExpectSameTableau(discoverer->tableau(), fresh.value(), " credit-dirty");
-}
-
-// AttachStore keeps a columnar arena growing alongside the appends; the
-// result must be byte-identical to a fresh Build over the final series at
-// the same capacity and block.
-TEST(IncrementalDiscoverer, AttachedStoreMatchesFreshBuildByteForByte) {
-  const int64_t total_n = 200;
-  const int64_t initial_n = 50;
-  const int64_t block = 32;
-  const series::CountSequence counts =
-      testing_util::RandomDominatedCounts(/*seed=*/11, total_n);
-
-  TableauRequest request;
-  request.algorithm = AlgorithmKind::kAreaBasedOpt;
-  request.epsilon = 0.05;
-  auto discoverer =
-      IncrementalDiscoverer::Create(counts.Prefix(initial_n), request);
-  ASSERT_TRUE(discoverer.ok());
-  ASSERT_TRUE(discoverer->AttachStore(total_n, block));
-  ASSERT_NE(discoverer->store(), nullptr);
-
-  const std::vector<double>& a = counts.outbound();
-  const std::vector<double>& b = counts.inbound();
-  for (int64_t at = initial_n; at < total_n; at += 37) {
-    const int64_t m = std::min<int64_t>(37, total_n - at);
-    discoverer->AppendBatch(a.data() + at, b.data() + at, m);
-  }
-  ASSERT_EQ(discoverer->n(), total_n);
-
-  const series::CumulativeSeries cumulative(counts);
-  const series::SeriesStore fresh =
-      series::SeriesStore::Build(cumulative, block, total_n);
-  const series::SeriesStore* maintained = discoverer->store();
-  ASSERT_NE(maintained, nullptr);
-  ASSERT_EQ(maintained->size(), fresh.size());
-  EXPECT_EQ(std::memcmp(maintained->data(), fresh.data(), fresh.size()), 0);
 }
 
 // StreamSession drives the monitor and the discoverer off one ingest path.

@@ -1,25 +1,21 @@
 #!/usr/bin/env python3
 """Compare two bench --json files and print per-config deltas.
 
-Records are keyed by (bench, n, algorithm, model, threads, k, sketch,
-sketch_block, incr_mode, batch, rate); k is 0 for records without a
-candidate-count dimension (everything except the cover bench, which
-sweeps k at fixed n), sketch / sketch_block are "" / 0 outside the sketch bench (which
-sweeps screen off-vs-auto at a fixed block span), and incr_mode / batch
-are "" / 0 outside the incremental-maintenance bench (which compares
-per-batch AppendBatch latency against a from-scratch run at each batch
-size), and rate is 0.0 outside the serving bench (which sweeps tenant
+Records are keyed by (bench, n, algorithm, model, threads, k, incr_mode,
+batch, rate); k is 0 for records without a candidate-count dimension
+(everything except the cover bench, which sweeps k at fixed n),
+incr_mode / batch are "" / 0 outside the incremental-maintenance bench
+(which compares per-batch AppendBatch latency against a from-scratch run
+at each batch size), and rate is 0.0 outside the serving bench (which sweeps tenant
 count and pacing; its batch slot is the append frame size and its
 threads slot the client count). The compared quantity is `seconds`
 (end-to-end wall clock; mean per-batch latency on incr rows). Configs present in only one file are
 listed separately. When both records carry the parallel observability
 block, speedup and imbalance deltas are shown too; when both carry the
 cover block, cover_speedup and stale-re-evaluation deltas are shown;
-when both carry the sketch block, prune-rate deltas (or bytes-per-tick deltas
-for the store-footprint rows) are shown; when both carry the incr block,
-amortized-speedup and warm-heap-pop deltas are shown. Measurement
-provenance (repeats / warmups, like the SIMD backend and the raw
-pruned/scanned and rebuild/dirty counters) is dropped from keys and
+when both carry the incr block, amortized-speedup and warm-heap-pop
+deltas are shown. Measurement provenance (repeats / warmups, like the
+SIMD backend and the raw rebuild/dirty counters) is dropped from keys and
 comparisons.
 
 Usage:
@@ -52,8 +48,6 @@ def load_records(path):
         record.pop("backend", None)
         record.pop("repeats", None)
         record.pop("warmups", None)
-        record.pop("anchors_pruned", None)
-        record.pop("sketch_scan_blocks", None)
         record.pop("candidates_extended", None)
         record.pop("full_rebuilds", None)
         record.pop("dirty_anchors", None)
@@ -66,8 +60,6 @@ def load_records(path):
             record.get("model", ""),
             record.get("threads", 1),
             record.get("k", 0),
-            record.get("sketch", ""),
-            record.get("sketch_block", 0),
             record.get("incr_mode", ""),
             record.get("batch", 0),
             record.get("rate", 0.0),
@@ -80,15 +72,10 @@ def load_records(path):
 
 
 def fmt_key(key):
-    bench, n, algorithm, model, threads, k, sketch, sketch_block, \
-        incr_mode, batch, rate = key
+    bench, n, algorithm, model, threads, k, incr_mode, batch, rate = key
     text = f"{bench} n={n} {algorithm} {model} threads={threads}"
     if k:
         text += f" k={k}"
-    if sketch:
-        text += f" sketch={sketch}"
-    if sketch_block:
-        text += f" sketch_block={sketch_block}"
     if incr_mode:
         text += f" incr_mode={incr_mode}"
     if batch:
@@ -150,12 +137,6 @@ def main():
         if "stale_reevaluations" in o and "stale_reevaluations" in n:
             extras.append(f"stale {o['stale_reevaluations']} -> "
                           f"{n['stale_reevaluations']}")
-        if "prune_rate" in o and "prune_rate" in n:
-            extras.append(f"prune_rate {o['prune_rate']:.3f} -> "
-                          f"{n['prune_rate']:.3f}")
-        if "bytes_per_tick" in o and "bytes_per_tick" in n:
-            extras.append(f"bytes_per_tick {o['bytes_per_tick']:.2f} -> "
-                          f"{n['bytes_per_tick']:.2f}")
         if o.get("incr_speedup") and n.get("incr_speedup"):
             extras.append(f"incr_speedup {o['incr_speedup']:.1f}x -> "
                           f"{n['incr_speedup']:.1f}x")

@@ -19,10 +19,6 @@
 //   --algorithm=exhaustive|area|area_opt|nab|nab_opt   (default area)
 //   --threads=<k>  anchor-sharded generation threads; 0 = all cores
 //                  (default 1; results are identical for every setting)
-//   --sketch=auto|off  quantized-sketch anchor screen (default auto);
-//                  conservative pre-pass only, candidates are bit-identical
-//                  for both settings
-//   --sketch_block=<t> ticks per sketch block (default 256)
 // Incremental replay (DESIGN.md §4g):
 //   --append_batch=<m>  replay the input through the incremental engine in
 //                  append batches of m ticks, print the maintained tableau
@@ -293,16 +289,6 @@ int main(int argc, char** argv) {
   if (!threads.ok()) return Fail(threads.status().ToString());
   if (*threads < 0) return Fail("--threads must be >= 0");
   request.num_threads = static_cast<int>(*threads);
-
-  const std::string sketch = flags.GetStringOr("sketch", "auto");
-  if (sketch == "off") {
-    request.sketch = conservation::interval::SketchMode::kOff;
-  } else if (sketch != "auto") {
-    return Fail("--sketch must be auto or off, got " + sketch);
-  }
-  auto sketch_block = flags.GetIntOr("sketch_block", 256);
-  if (!sketch_block.ok()) return Fail(sketch_block.status().ToString());
-  request.sketch_block = *sketch_block;  // range-checked by ValidateRequest
 
   const std::string sweep = flags.GetStringOr("sweep", "");
   auto append_batch = flags.GetIntOr("append_batch", 0);

@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Stdout bit-identity regression for crdiscover across thread counts and,
-# optionally, with the sketch screen on and off.
+# Stdout bit-identity regression for crdiscover across thread counts.
 #
 # The discovery pipeline guarantees thread-count-independent results
 # (DESIGN.md "Parallel execution"), and the obs::Sink routing guarantees
@@ -11,26 +10,14 @@
 # any two runs (even at the same thread count) and are zeroed before the
 # comparison — every counter field stays under the bit-identity contract.
 #
-# Extra arguments (e.g. --sketch_block=8 or --algorithm=nab_opt) are
-# appended to every run. With --sketch_check first, one more run adds
-# --sketch=off and is diffed against the others: the sketch screen only
-# skips anchors that cannot emit, so stdout must not change. Its
-# `generation: ... tested=` count on stderr must also be strictly higher
-# than the screened run's, which proves the screen ran.
+# Extra arguments (e.g. --algorithm=nab_opt) are appended to every run.
 #
-# Usage: tools/stdout_regression.sh [--sketch_check] CRDISCOVER_BINARY
-#            INPUT_CSV [ARG...]
+# Usage: tools/stdout_regression.sh CRDISCOVER_BINARY INPUT_CSV [ARG...]
 set -euo pipefail
 source "$(dirname "$0")/smoke_lib.sh"
 
-sketch_check=0
-if [[ $# -ge 1 && "$1" == "--sketch_check" ]]; then
-  sketch_check=1
-  shift
-fi
 if [[ $# -lt 2 ]]; then
-  echo "usage: stdout_regression.sh [--sketch_check] CRDISCOVER_BINARY" \
-       "INPUT_CSV [ARG...]" >&2
+  echo "usage: stdout_regression.sh CRDISCOVER_BINARY INPUT_CSV [ARG...]" >&2
   exit 2
 fi
 crdiscover="$1"
@@ -48,10 +35,6 @@ zero_timings() {
   sed -E 's/"(seed_seconds|select_seconds|seconds)":[0-9.eE+-]+/"\1":0/g'
 }
 
-tested_count() {
-  sed -nE 's/^generation: .* tested=([0-9]+) .*/\1/p' "$1"
-}
-
 for threads in 1 2 4; do
   "${crdiscover}" "${common_args[@]}" --threads="${threads}" \
     2> "${workdir}/stderr_t${threads}.txt" \
@@ -67,32 +50,5 @@ for threads in 2 4; do
   fi
 done
 
-if [[ ${sketch_check} -eq 0 ]]; then
-  [[ ${status} -eq 0 ]] && echo "OK: stdout bit-identical across --threads=1,2,4"
-  exit ${status}
-fi
-
-"${crdiscover}" "${common_args[@]}" --sketch=off --threads=1 \
-  2> "${workdir}/stderr_off.txt" \
-  | zero_timings > "${workdir}/stdout_off.txt"
-if ! cmp -s "${workdir}/stdout_t1.txt" "${workdir}/stdout_off.txt"; then
-  echo "FAIL: stdout differs between the screened and --sketch=off runs:" >&2
-  diff "${workdir}/stdout_t1.txt" "${workdir}/stdout_off.txt" >&2 || true
-  status=1
-fi
-screened="$(tested_count "${workdir}/stderr_t1.txt")"
-unscreened="$(tested_count "${workdir}/stderr_off.txt")"
-if [[ -z "${screened}" || -z "${unscreened}" ]]; then
-  echo "FAIL: no 'generation: ... tested=' line on stderr" >&2
-  status=1
-elif (( screened >= unscreened )); then
-  echo "FAIL: the screen did not run: tested=${screened} with" \
-       "${extra_args[*]}, tested=${unscreened} with --sketch=off" >&2
-  status=1
-fi
-
-if [[ ${status} -eq 0 ]]; then
-  echo "OK: stdout bit-identical across --threads=1,2,4 and --sketch=off" \
-       "(tested=${screened} screened vs ${unscreened} unscreened)"
-fi
+[[ ${status} -eq 0 ]] && echo "OK: stdout bit-identical across --threads=1,2,4"
 exit ${status}
