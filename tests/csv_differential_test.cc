@@ -8,6 +8,7 @@
 // and columns, each with skip_malformed_rows on and off.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -28,10 +29,15 @@
 namespace conservation::io {
 namespace {
 
+// The file name carries the test name and the process id: ctest runs each
+// test of this binary as its own process, often at the same time, and
+// they all share TempDir().
 class TempCsv {
  public:
   explicit TempCsv(const std::string& content)
-      : path_(::testing::TempDir() + "/csv_differential.csv") {
+      : path_(::testing::TempDir() + "/csv_differential_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              "_" + std::to_string(::getpid()) + ".csv") {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out << content;
   }
