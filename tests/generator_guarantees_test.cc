@@ -1,17 +1,20 @@
 // Parameterized validation of the paper's approximation guarantees
-// (Theorems 2, 3, 6, 8, 9) against the exhaustive generator on random
-// dominated integer data. Only applicable cases are instantiated: the NAB
-// generators run the balance model alone (paper §V), and plain AB has no
-// largest-first early exit.
+// (Theorems 2, 3, 6, 8, 9) against brute-force per-anchor optima, on random
+// dominated integer data and on the adversarial families of test_data.h.
+// Only applicable cases are instantiated: the NAB generators run the
+// balance model alone (paper §V), and plain AB has no largest-first early
+// exit.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
+#include <string>
 #include <tuple>
 
 #include "core/confidence.h"
 #include "interval/generator.h"
+#include "series/preprocess.h"
 #include "tests/test_data.h"
 
 namespace conservation::interval {
@@ -45,20 +48,13 @@ class GeneratorGuarantees
 // that support it (AB-opt, NAB, NAB-opt).
 class GeneratorEarlyExit : public GeneratorGuarantees {};
 
-TEST_P(GeneratorGuarantees, NoFalsePositivesAndNoFalseNegatives) {
-  const GuaranteeCase c = Case();
-  const int64_t n = 80;
-  const series::CountSequence counts =
-      testing_util::RandomDominatedCounts(c.seed, n);
-  const series::CumulativeSeries cumulative(counts);
-  const ConfidenceEvaluator eval(&cumulative, c.model);
-
-  GeneratorOptions options;
-  options.type = c.type;
-  options.c_hat = c.c_hat;
-  options.epsilon = c.epsilon;
-
-  const auto generator = MakeGenerator(c.algorithm);
+// Checks one generator run against brute force over every anchor of an
+// n-tick series: no produced interval misses the relaxed threshold, and
+// every anchor with an exact-threshold optimum is covered as the theorems
+// promise.
+void ExpectGuarantees(AlgorithmKind algorithm, const ConfidenceEvaluator& eval,
+                      int64_t n, const GeneratorOptions& options) {
+  const auto generator = MakeGenerator(algorithm);
   GeneratorStats stats;
   const std::vector<Interval> produced =
       generator->Generate(eval, options, &stats);
@@ -82,8 +78,8 @@ TEST_P(GeneratorGuarantees, NoFalsePositivesAndNoFalseNegatives) {
     if (!inserted2) it2->second = std::min(it2->second, iv.begin);
   }
 
-  const bool left_anchored = c.algorithm == AlgorithmKind::kAreaBased ||
-                             c.algorithm == AlgorithmKind::kAreaBasedOpt;
+  const bool left_anchored = algorithm == AlgorithmKind::kAreaBased ||
+                             algorithm == AlgorithmKind::kAreaBasedOpt;
 
   // --- No false negatives. Ground truth per anchor by brute force.
   if (left_anchored) {
@@ -116,15 +112,68 @@ TEST_P(GeneratorGuarantees, NoFalsePositivesAndNoFalseNegatives) {
       const auto it = begin_by_end.find(j);
       ASSERT_NE(it, begin_by_end.end())
           << "anchor j=" << j << " missing (i*=" << i_star << ")";
-      if (c.type == TableauType::kHold) {
+      if (options.type == TableauType::kHold) {
         // Theorem 8.2: i' <= i*.
         EXPECT_LE(it->second, i_star) << "anchor j=" << j;
       } else {
         // Theorem 9.2: the produced interval is at most (1+eps) shorter.
         const double produced_len = static_cast<double>(j - it->second + 1);
         const double optimal_len = static_cast<double>(j - i_star + 1);
-        EXPECT_GE(produced_len * (1.0 + c.epsilon), optimal_len - 1e-9)
+        EXPECT_GE(produced_len * (1.0 + options.epsilon), optimal_len - 1e-9)
             << "anchor j=" << j;
+      }
+    }
+  }
+}
+
+TEST_P(GeneratorGuarantees, NoFalsePositivesAndNoFalseNegatives) {
+  const GuaranteeCase c = Case();
+  const int64_t n = 80;
+  const series::CountSequence counts =
+      testing_util::RandomDominatedCounts(c.seed, n);
+  const series::CumulativeSeries cumulative(counts);
+  const ConfidenceEvaluator eval(&cumulative, c.model);
+
+  GeneratorOptions options;
+  options.type = c.type;
+  options.c_hat = c.c_hat;
+  options.epsilon = c.epsilon;
+  ExpectGuarantees(c.algorithm, eval, n, options);
+}
+
+// The same guarantees on each adversarial family × tableau type, for every
+// generator and every model it supports, at a tight and a loose epsilon.
+// The theorems assume B dominates A, so the series is first made dominated
+// as DiscoverTableau does (a no-op for every family but saturated).
+class AdversarialGuarantees
+    : public ::testing::TestWithParam<std::tuple<const char*, TableauType>> {};
+
+TEST_P(AdversarialGuarantees, NoFalsePositivesAndNoFalseNegatives) {
+  const auto& [family, type] = GetParam();
+  const int64_t n = 700;
+  const series::CumulativeSeries cumulative(
+      series::EnforceDominance(testing_util::AdversarialCounts(family, n)));
+  ASSERT_TRUE(cumulative.Dominates());
+  const AlgorithmKind algorithms[] = {
+      AlgorithmKind::kAreaBased, AlgorithmKind::kAreaBasedOpt,
+      AlgorithmKind::kNonAreaBased, AlgorithmKind::kNonAreaBasedOpt};
+  for (const ConfidenceModel model :
+       {ConfidenceModel::kBalance, ConfidenceModel::kCredit,
+        ConfidenceModel::kDebit}) {
+    const ConfidenceEvaluator eval(&cumulative, model);
+    for (const AlgorithmKind algorithm : algorithms) {
+      const bool left_anchored = algorithm == AlgorithmKind::kAreaBased ||
+                                 algorithm == AlgorithmKind::kAreaBasedOpt;
+      if (!left_anchored && model != ConfidenceModel::kBalance) continue;
+      for (const double epsilon : {0.05, 0.5}) {
+        GeneratorOptions options;
+        options.type = type;
+        options.c_hat = type == TableauType::kHold ? 0.9 : 0.3;
+        options.epsilon = epsilon;
+        SCOPED_TRACE(std::string(AlgorithmKindName(algorithm)) + " model=" +
+                     core::ConfidenceModelName(model) +
+                     " eps=" + std::to_string(epsilon));
+        ExpectGuarantees(algorithm, eval, n, options);
       }
     }
   }
@@ -189,6 +238,11 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep(::testing::Values(AlgorithmKind::kAreaBasedOpt), kAllModels));
 INSTANTIATE_TEST_SUITE_P(NonAreaBased, GeneratorEarlyExit,
                          Sweep(kNonAreaBased, kBalanceOnly));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, AdversarialGuarantees,
+    ::testing::Combine(
+        ::testing::ValuesIn(testing_util::kAdversarialFamilies),
+        ::testing::Values(TableauType::kHold, TableauType::kFail)));
 
 }  // namespace
 }  // namespace conservation::interval

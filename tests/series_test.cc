@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "series/cumulative.h"
 #include "series/preprocess.h"
 #include "series/sequence.h"
+#include "tests/test_data.h"
 
 namespace conservation::series {
 namespace {
@@ -153,6 +161,156 @@ TEST(PreprocessTest, MakeDominatedSequencePropagatesErrors) {
   auto ok = MakeDominatedSequence({5, 0}, {0, 5});
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(CumulativeSeries(*ok).Dominates());
+}
+
+// --- CumulativeSeries::Append ---------------------------------------------
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+CumulativeSeries BuildFrom(const std::vector<double>& a,
+                           const std::vector<double>& b) {
+  auto counts = CountSequence::Create(a, b);
+  CR_CHECK(counts.ok());
+  return CumulativeSeries(*counts);
+}
+
+// Every derived array and delta, compared bit for bit, including A(0),
+// S_0 and the +infinity sentinel S_{n+1}.
+void ExpectBitwiseEqual(const CumulativeSeries& got,
+                        const CumulativeSeries& want) {
+  ASSERT_EQ(got.n(), want.n());
+  EXPECT_EQ(Bits(got.delta()), Bits(want.delta()));
+  for (int64_t l = 0; l <= want.n(); ++l) {
+    ASSERT_EQ(Bits(got.a_data()[l]), Bits(want.a_data()[l])) << l;
+    ASSERT_EQ(Bits(got.b_data()[l]), Bits(want.b_data()[l])) << l;
+    ASSERT_EQ(Bits(got.sa_data()[l]), Bits(want.sa_data()[l])) << l;
+    ASSERT_EQ(Bits(got.sb_data()[l]), Bits(want.sb_data()[l])) << l;
+  }
+  for (int64_t i = 0; i <= want.n() + 1; ++i) {
+    ASSERT_EQ(Bits(got.suffix_min_gap_data()[i]),
+              Bits(want.suffix_min_gap_data()[i]))
+        << i;
+  }
+}
+
+struct Columns {
+  std::vector<double> a;
+  std::vector<double> b;
+};
+
+Columns RandomColumns(uint64_t seed, int64_t n) {
+  const CountSequence counts = testing_util::RandomDominatedCounts(seed, n);
+  Columns out;
+  for (int64_t t = 1; t <= n; ++t) {
+    out.a.push_back(counts.a(t));
+    out.b.push_back(counts.b(t));
+  }
+  return out;
+}
+
+TEST(CumulativeSeriesAppendTest, MatchesFreshBuildBitwise) {
+  const Columns all = RandomColumns(7, 600);
+  const int64_t batch_sizes[] = {1, 1, 2, 5, 17, 64, 3, 128, 1, 250};
+  int64_t n = 1;
+  CumulativeSeries series = BuildFrom({all.a[0]}, {all.b[0]});
+  for (const int64_t m : batch_sizes) {
+    ASSERT_LE(n + m, 600);
+    series.Append(all.a.data() + n, all.b.data() + n, m);
+    n += m;
+    const std::vector<double> a(all.a.begin(), all.a.begin() + n);
+    const std::vector<double> b(all.b.begin(), all.b.begin() + n);
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ExpectBitwiseEqual(series, BuildFrom(a, b));
+  }
+}
+
+TEST(CumulativeSeriesAppendTest, FirstChangedSuffixGapIsExact) {
+  for (const uint64_t seed : {3u, 13u, 23u}) {
+    const Columns all = RandomColumns(seed, 400);
+    int64_t n = 40;
+    CumulativeSeries series = BuildFrom(
+        {all.a.begin(), all.a.begin() + n}, {all.b.begin(), all.b.begin() + n});
+    util::Rng rng(seed);
+    while (n < 400) {
+      const int64_t m = std::min<int64_t>(400 - n, rng.UniformInt(1, 30));
+      const std::vector<double> before(
+          series.suffix_min_gap_data(),
+          series.suffix_min_gap_data() + series.n() + 1);
+      const CumulativeSeries::AppendResult result =
+          series.Append(all.a.data() + n, all.b.data() + n, m);
+      EXPECT_EQ(result.old_n, n);
+      // Brute force: the smallest old index whose gap changed bitwise.
+      int64_t want = n + 1;
+      for (int64_t i = 1; i <= n; ++i) {
+        if (Bits(before[static_cast<size_t>(i)]) !=
+            Bits(series.SuffixMinGap(i))) {
+          want = i;
+          break;
+        }
+      }
+      EXPECT_EQ(result.first_changed_s, want) << "seed=" << seed << " n=" << n;
+      n += m;
+    }
+  }
+}
+
+TEST(CumulativeSeriesAppendTest, FirstChangedSuffixGapEdgeCases) {
+  // Gaps B - A = <2, 4, 6>, so S = <2, 4, 6>.
+  CumulativeSeries series = BuildFrom({0, 0, 0}, {2, 2, 2});
+  // Pure inbound raises the new tail's gap above every old one: no old
+  // S_i moves.
+  const double inbound_a[] = {0};
+  const double inbound_b[] = {5};
+  CumulativeSeries::AppendResult result =
+      series.Append(inbound_a, inbound_b, 1);
+  EXPECT_EQ(result.first_changed_s, 4);
+  // Draining every unit of slack drops the new tail gap to 0, below every
+  // old gap: all of S_1..S_4 change.
+  const double drain_a[] = {11};
+  const double drain_b[] = {0};
+  result = series.Append(drain_a, drain_b, 1);
+  EXPECT_EQ(result.old_n, 4);
+  EXPECT_EQ(result.first_changed_s, 1);
+  for (int64_t i = 1; i <= 5; ++i) EXPECT_EQ(series.SuffixMinGap(i), 0.0) << i;
+}
+
+TEST(CumulativeSeriesAppendTest, DeltaDecreasedOnlyForSmallerPositiveCount) {
+  CumulativeSeries series = BuildFrom({0, 2}, {4, 2});
+  ASSERT_EQ(series.delta(), 2.0);
+  const double zeros[] = {0, 0};
+  const double larger[] = {3, 8};
+  const double smaller[] = {0.5, 0};
+  EXPECT_FALSE(series.Append(zeros, zeros, 2).delta_decreased);
+  EXPECT_FALSE(series.Append(larger, larger, 2).delta_decreased);
+  EXPECT_EQ(series.delta(), 2.0);
+  EXPECT_TRUE(series.Append(smaller, larger, 2).delta_decreased);
+  EXPECT_EQ(series.delta(), 0.5);
+  // Equal to the current delta is not a decrease.
+  EXPECT_FALSE(series.Append(smaller, larger, 1).delta_decreased);
+}
+
+TEST(CumulativeSeriesAppendTest, EmptyAppendChangesNothing) {
+  const Columns all = RandomColumns(5, 50);
+  CumulativeSeries series = BuildFrom(all.a, all.b);
+  const CumulativeSeries::AppendResult result =
+      series.Append(all.a.data(), all.b.data(), 0);
+  EXPECT_EQ(result.old_n, 50);
+  EXPECT_EQ(result.first_changed_s, 51);
+  EXPECT_FALSE(result.delta_decreased);
+  ExpectBitwiseEqual(series, BuildFrom(all.a, all.b));
+}
+
+TEST(CumulativeSeriesTest, CopiesAndMovesOwnTheirArrays) {
+  const Columns all = RandomColumns(9, 120);
+  const std::vector<double> a(all.a.begin(), all.a.begin() + 80);
+  const std::vector<double> b(all.b.begin(), all.b.begin() + 80);
+  CumulativeSeries series = BuildFrom(a, b);
+  const CumulativeSeries copy = series;
+  // Appending to the original leaves the copy at its old length and values.
+  series.Append(all.a.data() + 80, all.b.data() + 80, 40);
+  ExpectBitwiseEqual(copy, BuildFrom(a, b));
+  const CumulativeSeries moved = std::move(series);
+  ExpectBitwiseEqual(moved, BuildFrom(all.a, all.b));
 }
 
 }  // namespace
