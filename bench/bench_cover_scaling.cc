@@ -12,14 +12,11 @@
 //   duplicates  every distinct interval repeated 8x: duplicate copies must
 //               pop, re-evaluate to zero, and retire without being chosen.
 //
-// Sweeps: n (with k scaled proportionally), k at fixed n, and a seeding
-// thread sweep (the select loop is inherently sequential; only the initial
-// gain computation parallelizes). Chosen sets are asserted identical between
-// lazy and naive on every compared run, and across thread counts.
+// Sweeps: n (with k scaled proportionally), then k at fixed n. Chosen sets
+// are asserted identical between lazy and naive on every compared run.
 //
 // Flags: --n=<max n> --k=<max candidates> --s_hat=<fraction>
-//        --naive_max=<skip naive above this n> --max_threads=<seed sweep cap>
-//        --json=<path>
+//        --naive_max=<skip naive above this n> --json=<path>
 
 #include <algorithm>
 #include <cstdint>
@@ -100,11 +97,10 @@ constexpr Family kFamilies[] = {
 };
 
 void ExpectSameChoice(const cover::CoverResult& a,
-                      const cover::CoverResult& b, const char* what) {
+                      const cover::CoverResult& b) {
   CR_CHECK(a.chosen == b.chosen);
   CR_CHECK(a.covered == b.covered);
   CR_CHECK(a.satisfied == b.satisfied);
-  (void)what;
 }
 
 }  // namespace
@@ -114,7 +110,6 @@ int main(int argc, char** argv) {
   const int64_t max_k = bench::IntFlag(argc, argv, "k", 100000);
   const double s_hat = bench::DoubleFlag(argc, argv, "s_hat", 0.9);
   const int64_t naive_max = bench::IntFlag(argc, argv, "naive_max", max_n);
-  const int64_t max_threads = bench::IntFlag(argc, argv, "max_threads", 4);
   bench::BenchJson json = bench::BenchJson::FromArgs(argc, argv, "cover");
 
   cover::CoverOptions options;
@@ -154,12 +149,12 @@ int main(int argc, char** argv) {
         const cover::CoverResult naive =
             cover::ReferenceGreedyPartialSetCover(candidates, n, options);
         naive_seconds = naive_timer.ElapsedSeconds();
-        ExpectSameChoice(lazy, naive, family.name);
+        ExpectSameChoice(lazy, naive);
         speedup = lazy_seconds > 0.0 ? naive_seconds / lazy_seconds : 0.0;
-        json.AddCover(n, "naive", family.name, k, 1, naive_seconds, 0.0,
+        json.AddCover(n, "naive", family.name, k, naive_seconds, 0.0,
                       naive.stats);
       }
-      json.AddCover(n, "lazy", family.name, k, 1, lazy_seconds, speedup,
+      json.AddCover(n, "lazy", family.name, k, lazy_seconds, speedup,
                     lazy.stats);
 
       std::printf(
@@ -171,34 +166,6 @@ int main(int argc, char** argv) {
           static_cast<long long>(lazy.stats.stale_reevaluations),
           static_cast<long long>(lazy.stats.tick_visits));
     }
-  }
-
-  // Seeding thread sweep on the largest shingles instance: the select loop
-  // is sequential by design, so only seed_seconds should move — and the
-  // chosen set must not move at all.
-  bench::PrintHeader("parallel seeding (shingles, largest instance)");
-  std::printf("%8s | %10s %10s %9s\n", "threads", "seed_s", "select_s",
-              "total_s");
-  const std::vector<Interval> candidates = MakeShingles(max_n, max_k);
-  cover::CoverResult baseline;
-  for (int64_t threads = 1; threads <= max_threads; threads *= 2) {
-    cover::CoverOptions threaded = options;
-    threaded.num_threads = static_cast<int>(threads);
-    util::Stopwatch timer;
-    cover::CoverResult result =
-        cover::GreedyPartialSetCover(candidates, max_n, threaded);
-    const double total = timer.ElapsedSeconds();
-    if (threads == 1) {
-      baseline = result;
-    } else {
-      ExpectSameChoice(result, baseline, "threads");
-    }
-    json.AddCover(max_n, "lazy", "shingles_seed",
-                  static_cast<int64_t>(candidates.size()),
-                  static_cast<int>(threads), total, 0.0, result.stats);
-    std::printf("%8lld | %10.4f %10.4f %9.4f\n",
-                static_cast<long long>(threads), result.stats.seed_seconds,
-                result.stats.select_seconds, total);
   }
 
   json.Flush();

@@ -58,7 +58,6 @@ struct Workload {
         interval::AlgorithmKind::kAreaBased, options);
     cover::CoverOptions cover_options;
     cover_options.s_hat = 0.1;
-    cover_options.num_threads = options.num_threads;
     const cover::CoverResult cover =
         cover::GreedyPartialSetCover(run.candidates, n, cover_options);
     return run.candidates.size() + static_cast<size_t>(cover.covered);

@@ -225,11 +225,10 @@ class BenchJson {
   // names the synthetic candidate family, `speedup` is naive seconds / this
   // run's seconds (pass 0 when the naive baseline was skipped).
   void AddCover(int64_t n, const std::string& algorithm,
-                const std::string& family, int64_t k, int threads,
-                double seconds, double speedup,
-                const cover::CoverStats& stats) {
+                const std::string& family, int64_t k, double seconds,
+                double speedup, const cover::CoverStats& stats) {
     if (!active()) return;
-    Record record = MakeRecord(n, algorithm, family, threads, seconds,
+    Record record = MakeRecord(n, algorithm, family, /*threads=*/1, seconds,
                                /*intervals_tested=*/0);
     record.has_cover = true;
     record.k = k;

@@ -130,7 +130,6 @@ util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
 
     cover::CoverOptions cover_options;
     cover_options.s_hat = request.s_hat;
-    cover_options.num_threads = request.num_threads;
     cover = cover::GreedyPartialSetCover(intervals, eval.n(), cover_options);
     tableau.cover_seconds = cover_timer.ElapsedSeconds();
     tableau.cover_stats = cover.stats;

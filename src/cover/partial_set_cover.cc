@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace conservation::cover {
@@ -74,11 +73,11 @@ struct WorseThan {
   }
 };
 
-// Heap entries (gain not yet set) for every candidate that is not strictly
-// dominated, i.e. for which no other candidate has a smaller begin and an
-// end at least as large. Such a container always has at least the same
-// gain and wins every gain tie on ByPosition, so a dominated candidate is
-// never the argmax (DESIGN.md §4c). Candidates with equal begins never
+// Heap entries, seeded with the interval length, for every candidate that
+// is not strictly dominated, i.e. for which no other candidate has a
+// smaller begin and an end at least as large. Such a container always has
+// at least the same gain and wins every gain tie on ByPosition, so a
+// dominated candidate is never the argmax (DESIGN.md §4c). Candidates with equal begins never
 // dominate each other: ByPosition prefers the shorter one.
 //
 // One sweep in begin order keeps the largest end over strictly earlier
@@ -99,7 +98,9 @@ std::vector<HeapEntry> UndominatedEntries(
       group_begin = iv.begin;
     }
     group_max_end = std::max(group_max_end, iv.end);
-    if (iv.end > max_end_before) entries.push_back(HeapEntry{0, index});
+    if (iv.end > max_end_before) {
+      entries.push_back(HeapEntry{iv.length(), index});
+    }
   };
   if (std::is_sorted(candidates.begin(), candidates.end(),
                      interval::ByPosition)) {
@@ -168,11 +169,8 @@ CoverResult GreedyPartialSetCover(
   CoverageTracker coverage(n);
   CoverStats& stats = result.stats;
 
-  // Drop the strictly dominated candidates, then seed the survivors' gains
-  // in parallel (read-only Fenwick queries into disjoint slots) and heapify
-  // once. With nothing covered yet every gain equals the interval length,
-  // but routing through the tracker keeps the seeding correct for any
-  // future warm-start coverage.
+  // Drop the strictly dominated candidates and heapify the survivors once.
+  // Nothing is covered yet, so every seed gain is the interval length.
   util::Stopwatch seed_timer;
   const WorseThan worse{&candidates};
   std::vector<HeapEntry> heap;
@@ -180,11 +178,6 @@ CoverResult GreedyPartialSetCover(
     CR_TRACE_SPAN_ARGS("cover.seed", "k",
                        static_cast<int64_t>(candidates.size()));
     heap = UndominatedEntries(candidates);
-    util::ParallelFor(static_cast<int64_t>(heap.size()), options.num_threads,
-                      [&heap, &coverage, &candidates](int64_t k) {
-                        HeapEntry& entry = heap[static_cast<size_t>(k)];
-                        entry.gain = coverage.Gain(candidates[entry.index]);
-                      });
     std::make_heap(heap.begin(), heap.end(), worse);
   }
   stats.seed_seconds = seed_timer.ElapsedSeconds();

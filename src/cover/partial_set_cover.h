@@ -21,10 +21,9 @@
 //   - strictly dominated candidates (another candidate starts earlier and
 //     ends no earlier) never enter the heap: under the gain-then-position
 //     tie-break such a candidate can never be picked (DESIGN.md §4c). One
-//     O(k) sweep over ByPosition order finds them,
-//   - the initial gains of the survivors are seeded in parallel on the
-//     shared ThreadPool (CoverOptions::num_threads; the heap itself is built
-//     sequentially).
+//     O(k) sweep over ByPosition order finds them; the survivors seed the
+//     heap with their lengths, which are their gains while nothing is
+//     covered.
 // The chosen set is bit-identical to the naive rescan (tests/reference_cover.h
 // keeps the naive code as the differential oracle). Complexity: O(k + n
 // alpha(n) + (rounds + stale) log k) pops plus O((k + newly covered) log n)
@@ -59,8 +58,7 @@ struct CoverStats {
   // Heap size high-water mark: the number of candidates that are not
   // strictly dominated, all of which are seeded (re-pushes never grow it).
   int64_t peak_heap_size = 0;
-  // Wall time of the dominance sweep plus the parallel gain seeding (heap
-  // build included).
+  // Wall time of the dominance sweep plus the heap build.
   double seed_seconds = 0.0;
   // Wall time of the pop/re-evaluate/mark selection loop.
   double select_seconds = 0.0;
@@ -88,9 +86,6 @@ struct CoverOptions {
   // coverage always go to the ByPosition-smallest interval, then to the
   // lowest input index.
   double s_hat = 1.0;
-  // Threads for seeding the initial gains (1 = sequential, 0 = hardware
-  // concurrency). The chosen set is identical for every setting.
-  int num_threads = 1;
 };
 
 // Covered-tick bookkeeping for greedy interval cover over {1..n}. A
@@ -99,13 +94,13 @@ struct CoverOptions {
 // next-uncovered skip-pointer array (union-find with path halving; n + 1 is
 // the self-looping "past the end" sentinel), so each tick is visited
 // O(alpha(n)) amortized across ALL marks instead of once per covering pick.
-// GreedyPartialSetCover and the incremental engine's warm cover
-// (incr/incremental.h) both run on it, so their gains match bit for bit.
+// GreedyPartialSetCover runs on it, and tests/reference_cover.h replays
+// its picks through it to count tick visits.
 class CoverageTracker {
  public:
   explicit CoverageTracker(int64_t n);
 
-  // Ticks of `iv` not yet covered. Read-only: safe to call concurrently.
+  // Ticks of `iv` not yet covered.
   int64_t Gain(const interval::Interval& iv) const {
     return iv.length() - (Covered(iv.end) - Covered(iv.begin - 1));
   }

@@ -1,8 +1,6 @@
 #include "incr/incremental.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
 
 #include "cover/partial_set_cover.h"
 #include "interval/area_based.h"
@@ -82,23 +80,6 @@ void FoldZeroPrefix(const ConfidenceKernel& kernel,
   }
 }
 
-// "Worse-than" order for the warm heap. Matches GreedyPartialSetCover's
-// deterministic WorseThan on every pair the selection can actually compare:
-// gain descending, then ByPosition ascending. Live entries' intervals are
-// pairwise position-distinct (one candidate per anchor, distinct anchors),
-// so the fresh comparator's input-index component is unreachable for them;
-// the seq tie-break only orders stale duplicates, which selection skips
-// without side effects. Templated because HeapEntry is a private nested
-// type of the discoverer.
-template <typename Entry>
-bool EntryWorse(const Entry& a, const Entry& b) {
-  if (a.gain != b.gain) return a.gain < b.gain;
-  if (a.iv.begin != b.iv.begin || a.iv.end != b.iv.end) {
-    return interval::ByPosition(b.iv, a.iv);
-  }
-  return a.seq > b.seq;
-}
-
 }  // namespace
 
 util::Result<IncrementalDiscoverer> IncrementalDiscoverer::Create(
@@ -116,7 +97,7 @@ util::Result<IncrementalDiscoverer> IncrementalDiscoverer::Create(
   IncrementalDiscoverer discoverer(initial, request);
   // The initial series is the first batch: every anchor is new.
   discoverer.ProcessBatch(series::CumulativeSeries::AppendResult{0, 1, false});
-  return std::move(discoverer);
+  return discoverer;
 }
 
 IncrementalDiscoverer::IncrementalDiscoverer(
@@ -210,17 +191,12 @@ void IncrementalDiscoverer::ProcessBatch(
 
   ++stats_.batches;
   if (append_only_) {
-    // Deferred-cover mode: the candidate store and pending heap entries now
-    // carry this batch's full delta, so MaintainHeap + RunWarmCover at any
-    // later RefreshCover() produce the same tableau a per-batch refresh
-    // would have — deferral reorders no heap pushes (pending_entries_ keeps
-    // arrival order) and selection state never persists across batches.
+    // Deferred-cover mode: the cover reads only the candidate store, which
+    // now carries this batch's full delta, so any later RefreshCover()
+    // produces the tableau a per-batch refresh would have.
     cover_stale_ = true;
   } else {
-    MaintainHeap();
-    RunWarmCover();
-    // If append-only mode was toggled off while stale, this eager pass
-    // just absorbed the backlog too.
+    RunCover();
     cover_stale_ = false;
   }
 
@@ -238,8 +214,7 @@ void IncrementalDiscoverer::ProcessBatch(
 
 const core::Tableau& IncrementalDiscoverer::RefreshCover() {
   if (cover_stale_) {
-    MaintainHeap();
-    RunWarmCover();
+    RunCover();
     cover_stale_ = false;
   }
   return tableau_;
@@ -270,7 +245,6 @@ void IncrementalDiscoverer::GrowStateArrays(int64_t n) {
   cand_begin_.resize(size, 0);
   cand_end_.resize(size, 0);
   cand_conf_.resize(size, 0.0);
-  cand_version_.resize(size, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -633,110 +607,47 @@ void IncrementalDiscoverer::UpdateCandidate(int64_t anchor, bool valid,
     if (valid) cand_conf_[a] = conf;
     return;
   }
-  if (was_valid) ++stale_entries_;  // the anchor's live heap entry goes stale
-  live_candidates_ += (valid ? 1 : 0) - (was_valid ? 1 : 0);
   cand_valid_[a] = valid ? 1 : 0;
   cand_begin_[a] = begin;
   cand_end_[a] = end;
   cand_conf_[a] = conf;
-  ++cand_version_[a];
   ++stats_.candidates_extended;
-  if (valid) {
-    const interval::Interval iv{begin, end};
-    pending_entries_.push_back(
-        HeapEntry{iv.length(), iv, anchor, cand_version_[a], next_seq_++});
-  }
 }
 
-void IncrementalDiscoverer::MaintainHeap() {
-  // Persistent gains are interval lengths — exactly the seed gains of a
-  // fresh cover against an empty Fenwick, and a valid upper bound for the
-  // per-batch selection's stale-refresh invariant. Compact when stale
-  // entries dominate; otherwise an O(log k) push per changed candidate.
-  if (stale_entries_ * 2 > static_cast<int64_t>(heap_.size())) {
-    std::vector<HeapEntry> live;
-    live.reserve(heap_.size() + pending_entries_.size());
-    for (const HeapEntry& e : heap_) {
-      const size_t a = static_cast<size_t>(e.anchor);
-      if (cand_valid_[a] != 0 && cand_version_[a] == e.version) {
-        live.push_back(e);
-      }
-    }
-    live.insert(live.end(), pending_entries_.begin(), pending_entries_.end());
-    heap_ = std::move(live);
-    std::make_heap(heap_.begin(), heap_.end(), EntryWorse<HeapEntry>);
-    stale_entries_ = 0;
-  } else {
-    for (const HeapEntry& e : pending_entries_) {
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), EntryWorse<HeapEntry>);
-    }
-  }
-  pending_entries_.clear();
-}
-
-void IncrementalDiscoverer::RunWarmCover() {
+void IncrementalDiscoverer::RunCover() {
   const int64_t n = series_->n();
-  tableau_.rows.clear();
-  tableau_.num_candidates = static_cast<uint64_t>(live_candidates_);
-  tableau_.required = static_cast<int64_t>(
-      std::ceil(request_.s_hat * static_cast<double>(n)));
-  tableau_.covered = 0;
-  if (tableau_.required <= 0 || live_candidates_ == 0) {
-    // Fresh cover's early return (no selection, possibly satisfied by an
-    // empty tableau when nothing is required).
-    tableau_.support_satisfied = tableau_.covered >= tableau_.required;
-    return;
-  }
-
-  cover::CoverageTracker coverage(n);
-
-  // Selection runs on a COPY of the persistent heap: refreshed (coverage-
-  // decayed) gains are valid only against this batch's Fenwick and must
-  // not survive into the next batch, where coverage starts empty again.
-  // Popping live entries in (gain desc, ByPosition asc) order with the
-  // fresh loop's retire/refresh/pick logic reproduces
-  // GreedyPartialSetCover's pick sequence; stale-version pops are skipped
-  // before any side effect.
-  std::vector<HeapEntry> heap = heap_;
-  std::vector<int64_t> picked;
-  while (tableau_.covered < tableau_.required && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), EntryWorse<HeapEntry>);
-    HeapEntry top = heap.back();
-    heap.pop_back();
-    ++stats_.cover_warm_pops;
-    const size_t a = static_cast<size_t>(top.anchor);
-    if (cand_valid_[a] == 0 || cand_version_[a] != top.version) continue;
-
-    const int64_t gain = coverage.Gain(top.iv);
-    CR_CHECK(gain <= top.gain);  // gains are monotone non-increasing
-    if (gain <= 0) continue;     // fully covered by earlier picks; retire
-    if (gain < top.gain) {
-      top.gain = gain;
-      heap.push_back(top);
-      std::push_heap(heap.begin(), heap.end(), EntryWorse<HeapEntry>);
-      continue;
-    }
-
-    picked.push_back(top.anchor);
-    tableau_.covered += coverage.Mark(top.iv);
-  }
-  tableau_.support_satisfied = tableau_.covered >= tableau_.required;
-
-  // Chosen intervals are pairwise distinct; ByPosition totally orders them
-  // exactly as the fresh cover's result assembly does.
-  std::sort(picked.begin(), picked.end(), [this](int64_t a, int64_t b) {
-    const interval::Interval ia{cand_begin_[static_cast<size_t>(a)],
-                                cand_end_[static_cast<size_t>(a)]};
-    const interval::Interval ib{cand_begin_[static_cast<size_t>(b)],
-                                cand_end_[static_cast<size_t>(b)]};
-    return interval::ByPosition(ia, ib);
-  });
-  tableau_.rows.reserve(picked.size());
-  for (const int64_t anchor : picked) {
+  // Store order is anchor order: ByPosition for the left-anchored
+  // generators, end order for NAB. The cover's picks are the same for
+  // either, since the candidates are pairwise distinct.
+  std::vector<interval::Interval> intervals;
+  for (int64_t anchor = 1; anchor <= n; ++anchor) {
     const size_t a = static_cast<size_t>(anchor);
-    tableau_.rows.push_back(core::TableauRow{
-        interval::Interval{cand_begin_[a], cand_end_[a]}, cand_conf_[a]});
+    if (cand_valid_[a] != 0) {
+      intervals.push_back(interval::Interval{cand_begin_[a], cand_end_[a]});
+    }
+  }
+  cover::CoverOptions options;
+  options.s_hat = request_.s_hat;
+  util::Stopwatch cover_timer;
+  const cover::CoverResult cover =
+      cover::GreedyPartialSetCover(intervals, n, options);
+  tableau_.cover_seconds = cover_timer.ElapsedSeconds();
+  tableau_.cover_stats = cover.stats;
+  stats_.cover_warm_pops += cover.stats.heap_pops;
+
+  tableau_.num_candidates = intervals.size();
+  tableau_.covered = cover.covered;
+  tableau_.required = cover.required;
+  tableau_.support_satisfied = cover.satisfied;
+  tableau_.rows.clear();
+  tableau_.rows.reserve(cover.chosen.size());
+  const bool right_anchored =
+      request_.algorithm == interval::AlgorithmKind::kNonAreaBased ||
+      request_.algorithm == interval::AlgorithmKind::kNonAreaBasedOpt;
+  for (const interval::Interval& iv : cover.chosen) {
+    const int64_t anchor = right_anchored ? iv.end : iv.begin;
+    tableau_.rows.push_back(
+        core::TableauRow{iv, cand_conf_[static_cast<size_t>(anchor)]});
   }
 }
 

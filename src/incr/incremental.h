@@ -2,9 +2,10 @@
 //
 // DiscoverTableau (core/tableau.h) recomputes generation + cover from
 // scratch; for an append-only series that repeats almost all of its work
-// every batch. This engine maintains the tableau across AppendBatch calls
-// in amortized o(full-run) time by exploiting how the generators' per-anchor
-// tests behave under extension n -> n' (DESIGN.md §4g):
+// every batch. This engine maintains the candidate set across AppendBatch
+// calls in amortized o(full-run) generation time by exploiting how the
+// generators' per-anchor tests behave under extension n -> n' (DESIGN.md
+// §4g), then re-runs only the cover:
 //
 //   * Every generator emits at most one candidate per anchor, so a
 //     per-anchor candidate store is a complete representation of the
@@ -21,13 +22,12 @@
 //   * NAB/NAB-opt candidates for old right anchors are exactly unchanged
 //     (their length schedule prefix and left-anchor probes are independent
 //     of n), so only the m new anchors walk at all.
-//   * The lazy-greedy cover warm-starts from a persistent heap of
-//     length-gain entries (gain == interval length is exactly the seed gain
-//     of a fresh run); per batch only changed candidates push new versioned
-//     entries, selection runs on a copy with stale-version pops skipped,
-//     and within-batch stale re-evaluations absorb the gain deltas. The
-//     comparator is a strict total order on the position-distinct live
-//     entries, so the pick sequence reproduces GreedyPartialSetCover's.
+//   * The cover is NOT incremental: every refresh hands the live candidates
+//     of the store to cover::GreedyPartialSetCover, the same call
+//     DiscoverTableau makes. Candidates are pairwise distinct, so the
+//     cover's (gain desc, ByPosition asc) order is strict and its picks do
+//     not depend on input order; the rows are therefore the rows a fresh
+//     run picks from the same candidate set.
 //
 // Exactness contract: after every AppendBatch the maintained tableau is
 // bit-identical to DiscoverTableau over the full series in the fields
@@ -78,10 +78,10 @@ struct IncrStats {
   // AppendBatch calls processed (the initial Create batch included).
   int64_t batches = 0;
   // Anchors whose stored candidate (validity or interval) changed this
-  // lifetime — each pushed one new versioned entry into the warm heap.
+  // lifetime.
   int64_t candidates_extended = 0;
-  // Heap pops performed by the warm-started cover selections (the
-  // incremental analogue of cover.heap_pops; includes stale-version skips).
+  // cover.heap_pops of the shared cover, summed over every cover refresh
+  // (the name predates the shared cover and is kept for its readers).
   int64_t cover_warm_pops = 0;
   // Whole-state resets (Delta decreased under kMinPositiveCount).
   int64_t full_rebuilds = 0;
@@ -108,14 +108,13 @@ class IncrementalDiscoverer {
                                    const std::vector<double>& b);
 
   // Append-only mode (off by default): AppendBatch maintains the per-anchor
-  // candidate state but defers heap maintenance and the warm-cover selection
-  // — the expensive per-batch tail for small batches — until RefreshCover().
-  // Between refreshes tableau() is the last refreshed snapshot (stale by
-  // construction); at every refresh point the tableau is bit-identical to
-  // what non-deferred maintenance (and hence from-scratch discovery) would
-  // produce, because the candidate store and pending heap entries carry the
-  // complete delta. Built for the serving daemon, which pays cover on a
-  // periodic scheduler tick instead of on every small batch.
+  // candidate state but defers the cover — the expensive per-batch tail for
+  // small batches — until RefreshCover(). Between refreshes tableau() is the
+  // last refreshed snapshot (stale by construction); at every refresh point
+  // the tableau is bit-identical to what non-deferred maintenance (and
+  // hence from-scratch discovery) would produce, because the cover reads
+  // only the candidate store. Built for the serving daemon, which pays
+  // cover on a periodic scheduler tick instead of on every small batch.
   void SetAppendOnly(bool append_only) { append_only_ = append_only; }
   bool append_only() const { return append_only_; }
   // True when batches were applied since the last cover refresh.
@@ -167,18 +166,6 @@ class IncrementalDiscoverer {
     double best_conf = 0.0;
   };
 
-  // Warm-cover heap entry. `gain` is the interval length — exactly the
-  // gain a fresh cover seeds against an empty Fenwick, and a persistent
-  // upper bound thereafter. Within-batch refreshed gains live only in the
-  // per-selection copy, never here.
-  struct HeapEntry {
-    int64_t gain = 0;
-    interval::Interval iv;
-    int64_t anchor = 0;
-    uint32_t version = 0;
-    uint64_t seq = 0;
-  };
-
   IncrementalDiscoverer(const series::CountSequence& initial,
                         const core::TableauRequest& request);
 
@@ -201,14 +188,12 @@ class IncrementalDiscoverer {
   void ProcessNonAreaBased(
       const series::CumulativeSeries::AppendResult& delta);
 
-  // Stores anchor's candidate for this batch ((0,0) j/i == no candidate)
-  // and, when validity or interval changed, bumps the anchor version and
-  // queues a heap push.
+  // Stores anchor's candidate for this batch ((0,0) j/i == no candidate).
   void UpdateCandidate(int64_t anchor, bool valid, int64_t begin, int64_t end,
                        double conf);
 
-  void MaintainHeap();
-  void RunWarmCover();
+  // Runs the shared cover over the live candidates and rebuilds tableau_.
+  void RunCover();
 
   core::TableauRequest request_;
   interval::GeneratorOptions gen_options_;  // request mirror, sequential
@@ -235,13 +220,6 @@ class IncrementalDiscoverer {
   std::vector<int64_t> cand_begin_;
   std::vector<int64_t> cand_end_;
   std::vector<double> cand_conf_;
-  std::vector<uint32_t> cand_version_;
-  int64_t live_candidates_ = 0;
-
-  std::vector<HeapEntry> heap_;  // persistent, heap-ordered
-  std::vector<HeapEntry> pending_entries_;
-  int64_t stale_entries_ = 0;
-  uint64_t next_seq_ = 0;
 
   core::Tableau tableau_;
   IncrStats stats_;

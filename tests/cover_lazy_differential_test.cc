@@ -4,9 +4,9 @@
 // chosen_indices, covered, required, satisfied, rounds and tick_visits —
 // across adversarial candidate shapes (nested chains, duplicate-heavy,
 // width-1 staircases, same-start containment, unsorted input, NAB-shaped
-// families), the s_hat extremes, unsatisfiable instances, and parallel
-// seeding thread counts. Every case also checks that exactly the candidates
-// no other candidate strictly dominates enter the heap.
+// families, and larger shingled, nested and duplicated families), the s_hat
+// extremes, and unsatisfiable instances. Every case also checks that exactly
+// the candidates no other candidate strictly dominates enter the heap.
 
 #include <gtest/gtest.h>
 
@@ -42,8 +42,7 @@ void ExpectIdentical(const std::vector<Interval>& candidates, int64_t n,
   const CoverResult naive =
       ReferenceGreedyPartialSetCover(candidates, n, options);
   ASSERT_EQ(lazy.chosen, naive.chosen)
-      << "n=" << n << " m=" << candidates.size() << " s_hat=" << options.s_hat
-      << " threads=" << options.num_threads;
+      << "n=" << n << " m=" << candidates.size() << " s_hat=" << options.s_hat;
   EXPECT_EQ(lazy.chosen_indices, naive.chosen_indices);
   EXPECT_EQ(lazy.covered, naive.covered);
   EXPECT_EQ(lazy.required, naive.required);
@@ -65,12 +64,9 @@ void ExpectIdentical(const std::vector<Interval>& candidates, int64_t n,
 void ExpectIdenticalAllModes(const std::vector<Interval>& candidates,
                              int64_t n) {
   for (const double s_hat : {0.0, 0.5, 1.0}) {
-    for (const int threads : {1, 3}) {
-      CoverOptions options;
-      options.s_hat = s_hat;
-      options.num_threads = threads;
-      ExpectIdentical(candidates, n, options);
-    }
+    CoverOptions options;
+    options.s_hat = s_hat;
+    ExpectIdentical(candidates, n, options);
   }
 }
 
@@ -168,6 +164,38 @@ TEST(CoverLazyDifferentialTest, DeepStrictlyNestedChain) {
   options.s_hat = 0.5;
   EXPECT_EQ(GreedyPartialSetCover(candidates, n, options).stats.peak_heap_size,
             1);
+}
+
+// Three heap-stressing families at a larger scale: overlapping shingles
+// (many stale re-evaluations), a deep nested chain (one survivor of the
+// dominance sweep), and every distinct interval repeated four times (copies
+// retire without being chosen).
+TEST(CoverLazyDifferentialTest, LargeShingles) {
+  const int64_t n = 20000;
+  std::vector<Interval> candidates;
+  for (int64_t b = 1; b <= n; b += 8) {
+    candidates.push_back(Interval{b, std::min<int64_t>(n, b + 99)});
+  }
+  ExpectIdenticalAllModes(candidates, n);
+}
+
+TEST(CoverLazyDifferentialTest, LargeNestedChains) {
+  const int64_t n = 20000;
+  std::vector<Interval> candidates;
+  for (int64_t d = 0; d < 200; ++d) {
+    candidates.push_back(Interval{1 + d * 40, n - d * 40});
+  }
+  ExpectIdenticalAllModes(candidates, n);
+}
+
+TEST(CoverLazyDifferentialTest, LargeDuplicates) {
+  const int64_t n = 20000;
+  std::vector<Interval> candidates;
+  for (int64_t b = 1; b <= n; b += 50) {
+    const Interval iv{b, std::min<int64_t>(n, b + 199)};
+    for (int copy = 0; copy < 4; ++copy) candidates.push_back(iv);
+  }
+  ExpectIdenticalAllModes(candidates, n);
 }
 
 class CoverLazyDifferentialNabShaped

@@ -12,7 +12,7 @@ using interval::Interval;
 
 TEST(PartialSetCoverTest, SingleIntervalCoversAll) {
   const CoverResult result =
-      GreedyPartialSetCover({{1, 10}}, 10, CoverOptions{1.0, true});
+      GreedyPartialSetCover({{1, 10}}, 10, CoverOptions{1.0});
   ASSERT_EQ(result.chosen.size(), 1u);
   EXPECT_EQ(result.covered, 10);
   EXPECT_TRUE(result.satisfied);

@@ -207,7 +207,7 @@ TEST(TableauTest, CoverStatsPopulated) {
   request.type = TableauType::kFail;
   request.c_hat = 0.6;
   request.s_hat = 0.5;
-  request.num_threads = 2;  // exercises the parallel seeding path
+  request.num_threads = 2;  // exercises sharded candidate generation
   auto tableau = rule->DiscoverTableau(request);
   ASSERT_TRUE(tableau.ok());
   EXPECT_EQ(tableau->cover_stats.rounds,

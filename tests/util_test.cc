@@ -112,7 +112,7 @@ TEST(StopwatchTest, RestartResetsElapsed) {
   Stopwatch stopwatch;
   // Burn a little time so the pre-restart reading is strictly positive.
   volatile double sink = 0.0;
-  for (int k = 0; k < 100000; ++k) sink += static_cast<double>(k);
+  for (int k = 0; k < 100000; ++k) sink = sink + static_cast<double>(k);
   const double before = stopwatch.ElapsedSeconds();
   EXPECT_GT(before, 0.0);
   stopwatch.Restart();

@@ -2,8 +2,8 @@
 # Builds a binary in a sanitized build tree and runs it. Used by ctest to
 # enforce sanitizer coverage on every full test run, not just when someone
 # remembers check_tsan.sh:
-#   - ThreadSanitizer over the parallel paths (shard_smoke, cover_smoke,
-#     obs_smoke) and the batch-kernel differential suite;
+#   - ThreadSanitizer over the parallel paths (shard_smoke, obs_smoke) and
+#     the batch-kernel differential suite;
 #   - AddressSanitizer over the batch-kernel differential suite, which is
 #     what catches an out-of-bounds vector lane read at a batch tail.
 #

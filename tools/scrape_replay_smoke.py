@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end smoke for the live scrape endpoint: launch crdiscover in
 paced --append_batch replay with --serve_metrics on an ephemeral port,
-scrape /metrics twice while the replay is still running, validate both
+scrape /metrics twice while the replay is still running (the first scrape
+polls until the windowed batch-latency series is published), validate both
 payloads as Prometheus exposition (validate_prom.py), and require the
 tenant-labeled batch-latency series plus the windowed quantile summary.
 
@@ -57,6 +58,27 @@ def scrape(port):
     return body
 
 
+def has_series(body, name):
+    return any(line.startswith((name + "{", name + " "))
+               for line in body.split("\n"))
+
+
+def first_scrape(port, process, series, timeout_seconds=20.0):
+    """Scrapes until `series` appears. The port file can land before the
+    replay's first window advance, which is what publishes the windowed
+    series, so one early scrape may legitimately miss it."""
+    deadline = time.monotonic() + timeout_seconds
+    while True:
+        if process.poll() is not None:
+            fail(f"replay finished before {series} appeared in a scrape")
+        body = scrape(port)
+        if has_series(body, series):
+            return body
+        if time.monotonic() >= deadline:
+            fail(f"timed out waiting for {series} in a scrape")
+        time.sleep(0.05)
+
+
 def validate(body, label):
     with tempfile.NamedTemporaryFile(
             "w", suffix=".txt", delete=False, encoding="utf-8") as handle:
@@ -107,7 +129,7 @@ def main():
             text=True)
         try:
             port = wait_for_port_file(port_file, process)
-            first = scrape(port)
+            first = first_scrape(port, process, "incr_batch_seconds_window")
             time.sleep(0.3)  # several batches and a window advance apart
             second = scrape(port)
             mid_flight = process.poll() is None
