@@ -260,7 +260,7 @@ void IncrementalDiscoverer::GrowStateArrays(int64_t n) {
 // A walk that stopped at t == n holds an O(1) frontier: while
 // area(i, n') <= T it stays stopped (the breakpoint rides the frontier and
 // is evaluated tentatively each batch), and the first batch where the area
-// crosses T settles the level by binary search and resumes the ladder.
+// crosses T settles the level by an endpoint search and resumes the ladder.
 // ---------------------------------------------------------------------------
 void IncrementalDiscoverer::ProcessAreaBased(
     const series::CumulativeSeries::AppendResult& delta, int64_t dirty_begin) {
@@ -334,7 +334,7 @@ void IncrementalDiscoverer::ProcessAreaBased(
         } else {
           // The generator's first-touch search: t == i with exists == false
           // when even [i, i] exceeds T.
-          t = std::max(i, kernel.LargestEndpointWithin(i, n, threshold,
+          t = std::max(i, kernel.LargestEndpointWithin(i, n, 1, threshold,
                                                        &probes));
           exists = kernel.SparseArea(t) <= threshold;
         }
@@ -396,7 +396,7 @@ void IncrementalDiscoverer::ProcessAreaBased(
 // search and zero-prefix list. A breakpoint
 // found strictly below n settles forever (same monotone-area argument as
 // AB); a search whose result would sit at n — detected by the O(1) frontier
-// probe area(i, n) <= threshold BEFORE any binary search — parks the anchor
+// probe area(i, n) <= threshold BEFORE any endpoint search — parks the anchor
 // in a pending stage and is evaluated tentatively. Storing only the last
 // settled chain position `cur` (the pending search re-derives its
 // parameters from it) keeps the state O(1) per anchor; persisting the
@@ -444,7 +444,7 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
         tent_zp = true;
         parked = true;
       } else {
-        const int64_t zae = kernel.LargestEndpointWithin(i, n, 0.0, &probes);
+        const int64_t zae = kernel.LargestEndpointWithin(i, n, 1, 0.0, &probes);
         // Settled: area(zae + 1) > 0 persists.
         st.zae = zae;
         st.zae_settled = true;
@@ -465,7 +465,7 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
         st.stage = AbOptState::kPendingInit;
         parked = true;
       } else {
-        const int64_t r = kernel.LargestEndpointWithin(i, n, dlt, &probes);
+        const int64_t r = kernel.LargestEndpointWithin(i, n, 1, dlt, &probes);
         cur = r >= i ? r : i;  // forced start when even [i, i] exceeds Delta
         // Dedup mirror of the fresh push guard (breakpoints.back() < cur):
         // the only possible back entry is a pushed zae, and cur >= zae
@@ -484,10 +484,13 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
 
     if (!parked) {
       // Chain from the last settled position. Each iteration probes the
-      // frontier FIRST, so a binary search only ever runs (and settles)
+      // frontier FIRST, so an endpoint search only ever runs (and settles)
       // when its result is provably below n; the loop exits at cur == n
       // only through a forced advance, which is settled too (the forcing
       // area(cur + 1) > target persists), so kChainEnd resumes exactly.
+      // As in the generator, each search starts one previous step past cur;
+      // the first search of a batch has no previous step and starts at 1.
+      int64_t chain_step = 1;
       while (cur < n) {
         const double target =
             std::max(kernel.SparseArea(cur), dlt) * growth;
@@ -497,11 +500,12 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
           parked = true;
           break;
         }
-        int64_t next =
-            kernel.LargestEndpointWithin(cur + 1, n, target, &probes);
+        int64_t next = kernel.LargestEndpointWithin(cur + 1, n, chain_step,
+                                                    target, &probes);
         if (next < cur + 1) next = cur + 1;  // forced advance
         FoldRelaxedTest(kernel, gen_options_, next, &st.best_j,
                         &st.best_conf);
+        chain_step = next - cur;
         cur = next;
       }
       if (!parked) {

@@ -18,7 +18,8 @@
 //     fold into a per-anchor (best_j, best_conf) pair once and are never
 //     re-evaluated; the at-most-one unsettled frontier test per anchor is
 //     re-probed per batch in O(1) (is area(n') still within the frontier
-//     threshold?) and binary-searched only when it settles.
+//     threshold?) and searched for (LargestEndpointWithin) only when it
+//     settles.
 //   * NAB/NAB-opt candidates for old right anchors are exactly unchanged
 //     (their length schedule prefix and left-anchor probes are independent
 //     of n), so only the m new anchors walk at all.
@@ -52,8 +53,8 @@
 // to exactly the anchors whose reachable suffix changed.
 // The engine assumes B dominates A (paper §II; run series preprocessing
 // first), which is what makes the sparsification areas monotone and the
-// frontier O(1) probes sound — the same assumption the generators' binary
-// searches already make.
+// frontier O(1) probes sound — the same assumption the generators'
+// endpoint searches already make.
 
 #ifndef CONSERVATION_INCR_INCREMENTAL_H_
 #define CONSERVATION_INCR_INCREMENTAL_H_

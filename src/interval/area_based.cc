@@ -91,9 +91,10 @@ std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
   // alone — the pointer only amortizes the search for it — so re-basing the
   // pointers per chunk changes no output. A naive re-base (walk from the
   // chunk start) would re-sweep up to a whole level per chunk; instead the
-  // first touch of a level inside a chunk locates its breakpoint by binary
-  // search over the nondecreasing area (O(log n) per level per chunk), and
-  // the walk proceeds linearly from there as in the sequential run.
+  // first touch of a level inside a chunk locates its breakpoint with
+  // LargestEndpointWithin over the nondecreasing area (O(log n) per level
+  // per chunk), and the walk proceeds linearly from there as in the
+  // sequential run.
   //
   // The inner sweep runs on the flat-array kernel: the cumulative series is
   // resolved to __restrict pointers once per chunk and the anchor baselines
@@ -134,8 +135,8 @@ std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
           // First touch in this chunk: the largest endpoint in [i, n] whose
           // area is within the threshold (t = i when even [i, i] exceeds
           // it, matching the walk's no-advance case).
-          t = std::max(i,
-                       kernel.LargestEndpointWithin(i, n, threshold, &steps));
+          t = std::max(
+              i, kernel.LargestEndpointWithin(i, n, 1, threshold, &steps));
         } else {
           t = std::max(level_pointer, i);
           // Batched linear walk: evaluate the next window of areas in one

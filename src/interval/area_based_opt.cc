@@ -27,7 +27,7 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
                   : std::vector<int64_t>{};
 
   // AB-opt carries no cross-anchor state (each anchor's breakpoints come
-  // from fresh binary searches), so anchor chunks parallelize directly.
+  // from its own endpoint searches), so anchor chunks parallelize directly.
   // Inner sweeps run on the flat-array kernel (interval/kernel.h).
   auto block = [&, n, delta, growth](int64_t i_begin, int64_t i_end,
                                      GeneratorStats* chunk_stats) {
@@ -46,7 +46,7 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
 
       if (credit_fail) {
         const int64_t zero_area_end =
-            kernel.LargestEndpointWithin(i, n, 0.0, &probes);
+            kernel.LargestEndpointWithin(i, n, 1, 0.0, &probes);
         for (const int64_t len : zero_prefix_lengths) {
           const int64_t j = i + len - 1;
           if (j >= zero_area_end) break;  // zero_area_end is a breakpoint
@@ -59,19 +59,24 @@ std::vector<Candidate> AreaBasedOptGenerator::GenerateCandidates(
       // base unit Delta; if even [i, i] exceeds it, start at i (forced).
       // For fail tableaux this also covers the zero-area (confidence 0)
       // special case, since the zero-area prefix lies below Delta.
-      int64_t cur = kernel.LargestEndpointWithin(i, n, delta, &probes);
+      int64_t cur = kernel.LargestEndpointWithin(i, n, 1, delta, &probes);
       if (cur < i) cur = i;
       if (breakpoints.empty() || breakpoints.back() < cur) {
         breakpoints.push_back(cur);
       }
 
+      // Consecutive breakpoint steps change slowly (each area target is
+      // (1+eps)x the last), so each search starts one previous step past
+      // cur. The guess only sets where the search starts, never its result.
+      int64_t step = 1;
       while (cur < n) {
         const double cur_area = kernel.SparseArea(cur);
         const double target = std::max(cur_area, delta) * growth;
         int64_t next =
-            kernel.LargestEndpointWithin(cur + 1, n, target, &probes);
+            kernel.LargestEndpointWithin(cur + 1, n, step, target, &probes);
         if (next < cur + 1) next = cur + 1;  // forced advance
         breakpoints.push_back(next);
+        step = next - cur;
         cur = next;
       }
 

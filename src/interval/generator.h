@@ -33,9 +33,9 @@ enum class AlgorithmKind {
   // endpoints chosen by geometric growth of area_B (hold) / area_A (fail).
   // Supports all three models. O((n/eps) * log(area/Delta)).
   kAreaBased,
-  // AB-opt (paper §VI): like AB, but endpoints found by per-anchor binary
-  // search so that consecutive tested areas differ by a factor ~(1+eps),
-  // eliminating duplicate tests at the cost of a log factor per step.
+  // AB-opt (paper §VI): like AB, but endpoints found by a per-anchor search
+  // so that consecutive tested areas differ by a factor ~(1+eps),
+  // eliminating duplicate tests at the cost of a few area probes per step.
   kAreaBasedOpt,
   // Non-area-based (NAB, paper §V): anchored at right endpoints, sparse left
   // endpoints chosen by geometric growth of interval *length*; running time
@@ -101,10 +101,12 @@ struct ShardWork {
 struct GeneratorStats {
   // Number of confidence evaluations ("iterations" in paper Figs. 7-10).
   uint64_t intervals_tested = 0;
-  // Endpoint-search work: pointer advances (AB/NAB) or binary-search probes
-  // (AB-opt). Chunked runs re-base their level pointers per chunk (one
-  // O(log n) search per level per chunk), so this can exceed the sequential
-  // count slightly.
+  // Endpoint-search work: pointer advances (AB/NAB) or area probes of
+  // LargestEndpointWithin (AB's first touch of a level, every AB-opt
+  // breakpoint). AB-opt's search gallops from the previous breakpoint step,
+  // so its probes grow with the log of the step's change, not log(n).
+  // Chunked AB runs re-base their level pointers per chunk (one search per
+  // level per chunk), so this can exceed the sequential count slightly.
   uint64_t endpoint_steps = 0;
   // Batch kernel calls issued (interval/kernel_simd.h). Unlike
   // intervals_tested this is allowed to vary with batching policy — it

@@ -75,27 +75,69 @@ class ConfidenceKernel {
   }
 
   // Largest j in [lo, hi] with SparseArea(j) <= threshold, or lo - 1 if even
-  // SparseArea(lo) exceeds it: a binary search over the nondecreasing area,
-  // adding one to *probes per area evaluated. AB's first touch of a level,
-  // every AB-opt breakpoint and the incremental engine's settling searches
-  // all run through here. Kept out of line on purpose: inlined into AB-opt's
-  // per-anchor loop it measured about 5% slower end to end, the larger loop
-  // body spilling the anchor state this search reads on every probe.
-  [[gnu::noinline]] int64_t LargestEndpointWithin(int64_t lo, int64_t hi,
-                                                  double threshold,
-                                                  uint64_t* probes) const {
-    int64_t result = lo - 1;
-    while (lo <= hi) {
-      const int64_t mid = lo + (hi - lo) / 2;
-      ++*probes;
-      if (SparseArea(mid) <= threshold) {
-        result = mid;
-        lo = mid + 1;
-      } else {
-        hi = mid - 1;
+  // SparseArea(lo) exceeds it, adding one to *probes per area evaluated.
+  // AB-opt's chain (and the incremental engine's, within a batch) passes
+  // its previous breakpoint step as the guess; AB's first touch of a level
+  // and the engine's zero, init and settling searches pass 1.
+  int64_t LargestEndpointWithin(int64_t lo, int64_t hi, int64_t guess,
+                                double threshold, uint64_t* probes) const {
+    return LargestEndpointWithin(lo, hi, guess, threshold, probes,
+                                 [this](int64_t j) { return SparseArea(j); });
+  }
+
+  // The search itself, over any nondecreasing area(j) (the overload above
+  // passes SparseArea; tests pass plain arrays). It first probes
+  // lo + guess - 1, clamped into [lo, hi], gallops away from it by doubling
+  // steps until the answer is bracketed, then bisects the bracket: at most
+  // 2 ceil(log2(|answer - first probe| + 2)) probes, against log2(hi - lo)
+  // for a bisection of the whole range. Because the area is nondecreasing,
+  // the result depends on neither guess nor how far past the answer hi
+  // lies.
+  template <typename AreaFn>
+  static int64_t LargestEndpointWithin(
+      int64_t lo, int64_t hi, int64_t guess, double threshold,
+      uint64_t* probes, const AreaFn& area) {
+    if (lo > hi) return lo - 1;
+    // Invariant once bracketed: within <= answer < beyond, where `within`
+    // is lo - 1 or an endpoint whose area passed and `beyond` is hi + 1 or
+    // one whose area failed.
+    const int64_t first = lo + std::clamp<int64_t>(guess, 1, hi - lo + 1) - 1;
+    int64_t within = lo - 1;
+    int64_t beyond = hi + 1;
+    ++*probes;
+    if (area(first) <= threshold) {
+      within = first;
+      for (int64_t step = 1; within < hi; step *= 2) {
+        const int64_t j = std::min(hi, within + step);
+        ++*probes;
+        if (area(j) > threshold) {
+          beyond = j;
+          break;
+        }
+        within = j;
+      }
+    } else {
+      beyond = first;
+      for (int64_t step = 1; beyond > lo; step *= 2) {
+        const int64_t j = std::max(lo, beyond - step);
+        ++*probes;
+        if (area(j) <= threshold) {
+          within = j;
+          break;
+        }
+        beyond = j;
       }
     }
-    return result;
+    while (beyond - within > 1) {
+      const int64_t mid = within + (beyond - within) / 2;
+      ++*probes;
+      if (area(mid) <= threshold) {
+        within = mid;
+      } else {
+        beyond = mid;
+      }
+    }
+    return within;
   }
 
   // conf(i_, j); false when the denominator is not positive (undefined).

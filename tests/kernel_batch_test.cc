@@ -5,13 +5,16 @@
 // every model × tableau-type × series-shape combination, including the
 // ragged tails shorter than a vector width (this suite also runs in the
 // ASan ctest configuration to catch out-of-bounds lane reads there) and
-// whole-generator runs across backends.
+// whole-generator runs across backends. The endpoint search
+// (ConfidenceKernel::LargestEndpointWithin) is checked against a linear
+// scan for every range and starting guess, with a bound on its probes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -289,6 +292,151 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kFamilies),
                        ::testing::ValuesIn(kModels),
                        ::testing::ValuesIn(kTypes)));
+
+// --- Endpoint search: every (lo, hi, guess) against a linear scan ---------
+
+// The largest j in [lo, hi] with area[j] <= threshold, or lo - 1.
+int64_t LinearLargestWithin(const std::vector<double>& area, int64_t lo,
+                            int64_t hi, double threshold) {
+  int64_t result = lo - 1;
+  for (int64_t j = lo; j <= hi && area[static_cast<size_t>(j)] <= threshold;
+       ++j) {
+    result = j;
+  }
+  return result;
+}
+
+// ceil(log2(x)) for x >= 1.
+uint64_t CeilLog2(uint64_t x) { return std::bit_width(x - 1); }
+
+// Runs the search over area[lo..hi] from every guess in [-1, hi - lo + 3]
+// (below 1, inside the range and past hi) and checks the result against
+// the linear scan and the probe count against 2 ceil(log2(d + 2)) + 2,
+// where d is the distance from the guess to the answer in steps past lo.
+void ExpectSearchMatchesScan(const std::vector<double>& area, int64_t lo,
+                             int64_t hi, double threshold) {
+  const int64_t want = LinearLargestWithin(area, lo, hi, threshold);
+  for (int64_t guess = -1; guess <= hi - lo + 3; ++guess) {
+    uint64_t probes = 0;
+    const int64_t got = ConfidenceKernel::LargestEndpointWithin(
+        lo, hi, guess, threshold, &probes,
+        [&](int64_t j) { return area[static_cast<size_t>(j)]; });
+    ASSERT_EQ(got, want) << "lo=" << lo << " hi=" << hi
+                         << " guess=" << guess << " threshold=" << threshold;
+    const int64_t answer_step = want - lo + 1;
+    const uint64_t distance =
+        static_cast<uint64_t>(std::abs(answer_step - guess));
+    ASSERT_LE(probes, 2 * CeilLog2(distance + 2) + 2)
+        << "lo=" << lo << " hi=" << hi << " guess=" << guess
+        << " threshold=" << threshold << " answer=" << want;
+  }
+}
+
+TEST(EndpointSearch, MatchesLinearScanOnMonotoneArrays) {
+  // Index 0 is never searched (anchors and endpoints start at 1). Each
+  // array is nondecreasing: zero plateaus, equal-value runs, a long flat
+  // tail, steady growth.
+  std::vector<std::vector<double>> arrays = {
+      {-1, 0, 0, 0, 0, 1, 1, 1, 2, 3, 3, 5, 8, 8, 8, 8, 13, 21, 21, 34, 55,
+       55, 55, 55, 55, 55, 89, 144, 144, 233, 377, 377},
+      {-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {-1, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 9},
+      {-1, 0, 0, 0, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50,
+       50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50},
+  };
+  std::vector<double>& quadratic = arrays.emplace_back(1, -1.0);
+  for (int64_t j = 1; j <= 48; ++j) {
+    quadratic.push_back(static_cast<double>(j * j) / 2.0);
+  }
+
+  for (const std::vector<double>& area : arrays) {
+    const int64_t n = static_cast<int64_t>(area.size()) - 1;
+    // Every value in the array (ties at the threshold), the midpoints
+    // between consecutive values, and values below and above them all.
+    std::vector<double> thresholds{-0.5, 1e9};
+    for (int64_t j = 1; j <= n; ++j) {
+      thresholds.push_back(area[static_cast<size_t>(j)]);
+      if (j < n) {
+        thresholds.push_back((area[static_cast<size_t>(j)] +
+                              area[static_cast<size_t>(j + 1)]) /
+                             2.0);
+      }
+    }
+    for (int64_t lo = 1; lo <= n; ++lo) {
+      for (int64_t hi = lo - 1; hi <= n; ++hi) {
+        for (const double threshold : thresholds) {
+          ExpectSearchMatchesScan(area, lo, hi, threshold);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(EndpointSearch, ProbesGrowWithDistanceNotRange) {
+  // One long array, so a gallop that grows slower than doubling or a
+  // bisection of the whole range overshoots the bound: guesses at the
+  // answer, at powers of two away on either side, at 1 and past hi.
+  const int64_t n = 1 << 14;
+  std::vector<double> area{-1};
+  for (int64_t j = 1; j <= n; ++j) area.push_back(static_cast<double>(j / 3));
+  for (int64_t answer = 1; answer <= n; answer += 997) {
+    const double threshold = area[static_cast<size_t>(answer)];
+    const int64_t want = LinearLargestWithin(area, 1, n, threshold);
+    std::vector<int64_t> guesses{1, want, n + 5};
+    for (int64_t d = 1; d < n; d *= 2) {
+      guesses.push_back(want + d);
+      guesses.push_back(want - d);
+    }
+    for (const int64_t guess : guesses) {
+      uint64_t probes = 0;
+      ASSERT_EQ(ConfidenceKernel::LargestEndpointWithin(
+                    1, n, guess, threshold, &probes,
+                    [&](int64_t j) { return area[static_cast<size_t>(j)]; }),
+                want)
+          << "guess=" << guess;
+      const uint64_t distance = static_cast<uint64_t>(std::abs(want - guess));
+      ASSERT_LE(probes, 2 * CeilLog2(distance + 2) + 2)
+          << "guess=" << guess << " answer=" << want;
+    }
+  }
+}
+
+TEST(EndpointSearch, KernelSearchMatchesLinearScanOverSparseArea) {
+  // The kernel overload on real series: every anchor, thresholds at and
+  // between its areas, guesses 1, a mid-range step and one past n.
+  const int64_t n = 97;
+  for (const std::string family : {"random", "near_zero_a", "zero_gap"}) {
+    const series::CountSequence counts = MakeFamily(family, n);
+    const series::CumulativeSeries cumulative(counts);
+    for (const ConfidenceModel model : kModels) {
+      const ConfidenceEvaluator eval(&cumulative, model);
+      for (const TableauType type : kTypes) {
+        ConfidenceKernel kernel(eval, type);
+        SCOPED_TRACE(family + " " + core::ConfidenceModelName(model) + " " +
+                     core::TableauTypeName(type));
+        for (int64_t i = 1; i <= n; ++i) {
+          kernel.BeginAnchor(i);
+          std::vector<double> area(static_cast<size_t>(n) + 1, 0.0);
+          for (int64_t j = i; j <= n; ++j) {
+            area[static_cast<size_t>(j)] = kernel.SparseArea(j);
+          }
+          for (int64_t j = i; j <= n; j += 7) {
+            const double threshold = area[static_cast<size_t>(j)];
+            const int64_t want = LinearLargestWithin(area, i, n, threshold);
+            for (const int64_t guess : {int64_t{1}, int64_t{13}, n + 1}) {
+              uint64_t probes = 0;
+              ASSERT_EQ(kernel.LargestEndpointWithin(i, n, guess, threshold,
+                                                     &probes),
+                        want)
+                  << "i=" << i << " guess=" << guess;
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace conservation
