@@ -148,13 +148,16 @@ struct AbOptGolden {
   core::ConfidenceModel model;
   size_t candidates;
   uint64_t intervals_tested;
+  uint64_t endpoint_steps;
   uint64_t hash;
+  bool largest_first_early_exit = false;
 };
 
 std::string GoldenLabel(const AbOptGolden& golden) {
   return std::string(golden.dataset) + "_" +
          core::TableauTypeName(golden.type) + "_" +
-         core::ConfidenceModelName(golden.model);
+         core::ConfidenceModelName(golden.model) +
+         (golden.largest_first_early_exit ? "_early_exit" : "");
 }
 
 std::string GoldenName(const ::testing::TestParamInfo<AbOptGolden>& info) {
@@ -177,12 +180,14 @@ TEST_P(AbOptGoldenTest, CandidatesMatchPinnedValues) {
   options.type = golden.type;
   options.c_hat = golden.type == core::TableauType::kHold ? 0.9 : 0.5;
   options.epsilon = 0.01;
+  options.largest_first_early_exit = golden.largest_first_early_exit;
   interval::GeneratorStats stats;
   const std::vector<interval::Candidate> candidates =
       interval::MakeGenerator(interval::AlgorithmKind::kAreaBasedOpt)
           ->GenerateCandidates(eval, options, &stats);
   EXPECT_EQ(candidates.size(), golden.candidates);
   EXPECT_EQ(stats.intervals_tested, golden.intervals_tested);
+  EXPECT_EQ(stats.endpoint_steps, golden.endpoint_steps);
   EXPECT_EQ(CandidateHash(candidates), golden.hash)
       << "0x" << std::hex << CandidateHash(candidates);
 }
@@ -194,59 +199,113 @@ INSTANTIATE_TEST_SUITE_P(
     Pinned, AbOptGoldenTest,
     ::testing::Values(
         AbOptGolden{"joblog", TableauType::kHold,
-                    ConfidenceModel::kBalance, 4592, 3666145,
+                    ConfidenceModel::kBalance, 4592, 3666145, 6545628,
                     0x6fa6f43c2d2327d3ull},
         AbOptGolden{"joblog", TableauType::kHold,
-                    ConfidenceModel::kCredit, 4980, 3666145,
+                    ConfidenceModel::kCredit, 4980, 3666145, 6545628,
                     0xec08368613db2881ull},
         AbOptGolden{"joblog", TableauType::kHold,
-                    ConfidenceModel::kDebit, 4898, 3705243,
+                    ConfidenceModel::kDebit, 4898, 3705243, 6577470,
                     0x525ccfa43edbf315ull},
         AbOptGolden{"joblog", TableauType::kFail,
-                    ConfidenceModel::kBalance, 5000, 3757411,
+                    ConfidenceModel::kBalance, 5000, 3757411, 6632991,
                     0xcdce5696e8f73e7full},
         AbOptGolden{"joblog", TableauType::kFail,
-                    ConfidenceModel::kCredit, 3045, 3843047,
+                    ConfidenceModel::kCredit, 3045, 3843047, 6642033,
                     0xfbb64ef80bfa814dull},
         AbOptGolden{"joblog", TableauType::kFail,
-                    ConfidenceModel::kDebit, 4965, 3757411,
+                    ConfidenceModel::kDebit, 4965, 3757411, 6632991,
                     0x7a7a989b4f9fc24full},
         AbOptGolden{"router", TableauType::kHold,
-                    ConfidenceModel::kBalance, 4969, 3724575,
+                    ConfidenceModel::kBalance, 4969, 3724575, 6571099,
                     0x95572c3179d3c212ull},
         AbOptGolden{"router", TableauType::kHold,
-                    ConfidenceModel::kCredit, 5000, 3724575,
+                    ConfidenceModel::kCredit, 5000, 3724575, 6571099,
                     0x1f9e1af77c98fd81ull},
         AbOptGolden{"router", TableauType::kHold,
-                    ConfidenceModel::kDebit, 5000, 3728691,
+                    ConfidenceModel::kDebit, 5000, 3728691, 6574129,
                     0xb5663c39c8d044b5ull},
         AbOptGolden{"router", TableauType::kFail,
-                    ConfidenceModel::kBalance, 3082, 3729001,
+                    ConfidenceModel::kBalance, 3082, 3729001, 6574386,
                     0xe6529bee455c8652ull},
         AbOptGolden{"router", TableauType::kFail,
-                    ConfidenceModel::kCredit, 0, 3729001,
+                    ConfidenceModel::kCredit, 0, 3729001, 6579386,
                     0xcbf29ce484222325ull},
         AbOptGolden{"router", TableauType::kFail,
-                    ConfidenceModel::kDebit, 0, 3729001,
+                    ConfidenceModel::kDebit, 0, 3729001, 6574386,
                     0xcbf29ce484222325ull},
         AbOptGolden{"powergrid_theft", TableauType::kHold,
-                    ConfidenceModel::kBalance, 1969, 3419721,
+                    ConfidenceModel::kBalance, 1969, 3419721, 6227538,
                     0x41d9f4d023634dc2ull},
         AbOptGolden{"powergrid_theft", TableauType::kHold,
-                    ConfidenceModel::kCredit, 5000, 3419721,
+                    ConfidenceModel::kCredit, 5000, 3419721, 6227538,
                     0xfa0df52ebe671849ull},
         AbOptGolden{"powergrid_theft", TableauType::kHold,
-                    ConfidenceModel::kDebit, 5000, 3727893,
+                    ConfidenceModel::kDebit, 5000, 3727893, 6582288,
                     0xfa77558aa4f6f802ull},
         AbOptGolden{"powergrid_theft", TableauType::kFail,
-                    ConfidenceModel::kBalance, 4965, 3725197,
+                    ConfidenceModel::kBalance, 4965, 3725197, 6577455,
                     0x37cd8667283b3210ull},
         AbOptGolden{"powergrid_theft", TableauType::kFail,
-                    ConfidenceModel::kCredit, 0, 3725197,
+                    ConfidenceModel::kCredit, 0, 3725197, 6582455,
                     0xcbf29ce484222325ull},
         AbOptGolden{"powergrid_theft", TableauType::kFail,
-                    ConfidenceModel::kDebit, 0, 3725197,
-                    0xcbf29ce484222325ull}),
+                    ConfidenceModel::kDebit, 0, 3725197, 6577455,
+                    0xcbf29ce484222325ull},
+        AbOptGolden{"joblog", TableauType::kHold,
+                    ConfidenceModel::kBalance, 4592, 88029, 6545628,
+                    0x6fa6f43c2d2327d3ull, true},
+        AbOptGolden{"joblog", TableauType::kHold,
+                    ConfidenceModel::kCredit, 4980, 7480, 6545628,
+                    0xec08368613db2881ull, true},
+        AbOptGolden{"joblog", TableauType::kHold,
+                    ConfidenceModel::kDebit, 4898, 12096, 6577470,
+                    0x525ccfa43edbf315ull, true},
+        AbOptGolden{"joblog", TableauType::kFail,
+                    ConfidenceModel::kBalance, 5000, 3518240, 6632991,
+                    0xcdce5696e8f73e7full, true},
+        AbOptGolden{"joblog", TableauType::kFail,
+                    ConfidenceModel::kCredit, 3045, 3772264, 6642033,
+                    0xfbb64ef80bfa814dull, true},
+        AbOptGolden{"joblog", TableauType::kFail,
+                    ConfidenceModel::kDebit, 4965, 3639447, 6632991,
+                    0x7a7a989b4f9fc24full, true},
+        AbOptGolden{"router", TableauType::kHold,
+                    ConfidenceModel::kBalance, 4969, 5465, 6571099,
+                    0x95572c3179d3c212ull, true},
+        AbOptGolden{"router", TableauType::kHold,
+                    ConfidenceModel::kCredit, 5000, 5000, 6571099,
+                    0x1f9e1af77c98fd81ull, true},
+        AbOptGolden{"router", TableauType::kHold,
+                    ConfidenceModel::kDebit, 5000, 5000, 6574129,
+                    0xb5663c39c8d044b5ull, true},
+        AbOptGolden{"router", TableauType::kFail,
+                    ConfidenceModel::kBalance, 3082, 3725623, 6574386,
+                    0xe6529bee455c8652ull, true},
+        AbOptGolden{"router", TableauType::kFail,
+                    ConfidenceModel::kCredit, 0, 3729001, 6579386,
+                    0xcbf29ce484222325ull, true},
+        AbOptGolden{"router", TableauType::kFail,
+                    ConfidenceModel::kDebit, 0, 3729001, 6574386,
+                    0xcbf29ce484222325ull, true},
+        AbOptGolden{"powergrid_theft", TableauType::kHold,
+                    ConfidenceModel::kBalance, 1969, 1693863, 6227538,
+                    0x41d9f4d023634dc2ull, true},
+        AbOptGolden{"powergrid_theft", TableauType::kHold,
+                    ConfidenceModel::kCredit, 5000, 5000, 6227538,
+                    0xfa0df52ebe671849ull, true},
+        AbOptGolden{"powergrid_theft", TableauType::kHold,
+                    ConfidenceModel::kDebit, 5000, 5000, 6582288,
+                    0xfa77558aa4f6f802ull, true},
+        AbOptGolden{"powergrid_theft", TableauType::kFail,
+                    ConfidenceModel::kBalance, 4965, 2538055, 6577455,
+                    0x37cd8667283b3210ull, true},
+        AbOptGolden{"powergrid_theft", TableauType::kFail,
+                    ConfidenceModel::kCredit, 0, 3725197, 6582455,
+                    0xcbf29ce484222325ull, true},
+        AbOptGolden{"powergrid_theft", TableauType::kFail,
+                    ConfidenceModel::kDebit, 0, 3725197, 6577455,
+                    0xcbf29ce484222325ull, true}),
     GoldenName);
 
 }  // namespace
