@@ -15,6 +15,7 @@ namespace conservation::incr {
 
 namespace {
 
+using interval::internal::AbOptState;
 using interval::internal::ConfidenceKernel;
 
 // Registry mirror of IncrStats (which stays the API-stable per-discoverer
@@ -390,139 +391,26 @@ void IncrementalDiscoverer::ProcessAreaBased(
 }
 
 // ---------------------------------------------------------------------------
-// AB-opt: per-anchor breakpoint chain with a resumable frontier.
-//
-// Follows the per-anchor path of area_based_opt.cc on the same endpoint
-// search and zero-prefix list. A breakpoint
-// found strictly below n settles forever (same monotone-area argument as
-// AB); a search whose result would sit at n — detected by the O(1) frontier
-// probe area(i, n) <= threshold BEFORE any endpoint search — parks the anchor
-// in a pending stage and is evaluated tentatively. Storing only the last
-// settled chain position `cur` (the pending search re-derives its
-// parameters from it) keeps the state O(1) per anchor; persisting the
-// breakpoint list itself would be O(n) per anchor — ~12 GB at n = 1M.
+// AB-opt: the generator's own walk (interval::internal::AbOptWalk), resumed
+// from each anchor's O(1) state. Settled breakpoints fold into the state
+// once; tentative ones lie past them and are tested every batch, so the
+// longest qualifying breakpoint is the fresh run's pick. Persisting each
+// anchor's breakpoint list instead would cost ~12 GB at n = 1M.
 // ---------------------------------------------------------------------------
 void IncrementalDiscoverer::ProcessAreaBasedOpt(
     const series::CumulativeSeries::AppendResult& delta, int64_t dirty_begin) {
   const int64_t n = series_->n();
-  const int64_t old_n = delta.old_n;
-  const double growth = 1.0 + gen_options_.epsilon;
-  const double dlt = prev_delta_;
-  const std::vector<int64_t> zero_prefix_lengths =
-      credit_fail_ ? interval::internal::ZeroPrefixLengths(n, growth)
-                   : std::vector<int64_t>{};
-  uint64_t probes = 0;  // the generator's endpoint_steps; unreported here
-
-  ConfidenceKernel kernel(*eval_, gen_options_.type);
+  interval::internal::AbOptWalk walk(*eval_, gen_options_, prev_delta_,
+                                     &abopt_scratch_);
   for (int64_t i = 1; i <= n; ++i) {
     AbOptState& st = abopt_[static_cast<size_t>(i)];
-    if (i > old_n || i >= dirty_begin) st = AbOptState{};
-    kernel.BeginAnchor(i);
-
-    enum { kStepZero, kStepInit, kStepChain } step;
-    int64_t cur = 0;
-    switch (st.stage) {
-      case AbOptState::kFresh:
-        step = credit_fail_ ? kStepZero : kStepInit;
-        break;
-      case AbOptState::kPendingInit:
-        step = kStepInit;
-        break;
-      default:  // kPendingChain, kChainEnd
-        step = kStepChain;
-        cur = st.cur;
-        break;
-    }
-
-    bool parked = false;      // pending this batch: frontier test below
-    bool tent_zp = false;     // sticky zero suffix: tentative zero prefix
-    if (step == kStepZero) {
-      if (kernel.SparseArea(n) <= 0.0) {
-        // Sticky: the whole of [i, n] is zero-area. The fresh walk's
-        // zae, init and chain breakpoints all collapse onto n; everything
-        // is tentative and the stage stays kFresh for the next batch.
-        tent_zp = true;
-        parked = true;
-      } else {
-        const int64_t zae = kernel.LargestEndpointWithin(i, n, 1, 0.0, &probes);
-        // Settled: area(zae + 1) > 0 persists.
-        st.zae = zae;
-        st.zae_settled = true;
-        if (zae >= i) {
-          FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, zae,
-                         &st.best_j, &st.best_conf);
-          FoldRelaxedTest(kernel, gen_options_, zae, &st.best_j,
-                          &st.best_conf);
-        }
-        step = kStepInit;
-      }
-    }
-
-    if (!parked && step == kStepInit) {
-      if (kernel.SparseArea(n) <= dlt) {
-        // The init breakpoint sits at n: evaluate tentatively, settle when
-        // the area crosses Delta.
-        st.stage = AbOptState::kPendingInit;
-        parked = true;
-      } else {
-        const int64_t r = kernel.LargestEndpointWithin(i, n, 1, dlt, &probes);
-        cur = r >= i ? r : i;  // forced start when even [i, i] exceeds Delta
-        // Dedup mirror of the fresh push guard (breakpoints.back() < cur):
-        // the only possible back entry is a pushed zae, and cur >= zae
-        // always, so the test is skipped exactly when cur == zae (already
-        // folded above). A forced start implies zae < i (zero area is
-        // within Delta), so it always tests.
-        const bool zae_is_back =
-            credit_fail_ && st.zae_settled && st.zae >= i && st.zae == cur;
-        if (!zae_is_back) {
-          FoldRelaxedTest(kernel, gen_options_, cur, &st.best_j,
-                          &st.best_conf);
-        }
-        step = kStepChain;
-      }
-    }
-
-    if (!parked) {
-      // Chain from the last settled position. Each iteration probes the
-      // frontier FIRST, so an endpoint search only ever runs (and settles)
-      // when its result is provably below n; the loop exits at cur == n
-      // only through a forced advance, which is settled too (the forcing
-      // area(cur + 1) > target persists), so kChainEnd resumes exactly.
-      // As in the generator, each search starts one previous step past cur;
-      // the first search of a batch has no previous step and starts at 1.
-      int64_t chain_step = 1;
-      while (cur < n) {
-        const double target =
-            std::max(kernel.SparseArea(cur), dlt) * growth;
-        if (kernel.SparseArea(n) <= target) {
-          st.stage = AbOptState::kPendingChain;
-          st.cur = cur;
-          parked = true;
-          break;
-        }
-        int64_t next = kernel.LargestEndpointWithin(cur + 1, n, chain_step,
-                                                    target, &probes);
-        if (next < cur + 1) next = cur + 1;  // forced advance
-        FoldRelaxedTest(kernel, gen_options_, next, &st.best_j,
-                        &st.best_conf);
-        chain_step = next - cur;
-        cur = next;
-      }
-      if (!parked) {
-        st.stage = AbOptState::kChainEnd;
-        st.cur = n;
-      }
-    }
-
+    if (i > delta.old_n || i >= dirty_begin) st = AbOptState{};
+    const size_t tentative = walk.Advance(i, &st);
+    walk.FoldLongestQualifying(0, tentative, &st.best_j, &st.best_conf);
     int64_t cj = st.best_j;
     double cc = st.best_conf;
-    if (tent_zp && n > i) {
-      FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, /*zae=*/n,
-                     &cj, &cc);
-    }
-    if (parked) {
-      FoldRelaxedTest(kernel, gen_options_, n, &cj, &cc);
-    }
+    walk.FoldLongestQualifying(tentative, abopt_scratch_.breakpoints.size(),
+                               &cj, &cc);
     UpdateCandidate(i, cj >= i, i, cj, cc);
   }
 }
@@ -623,7 +511,11 @@ void IncrementalDiscoverer::RunCover() {
   // Store order is anchor order: ByPosition for the left-anchored
   // generators, end order for NAB. The cover's picks are the same for
   // either, since the candidates are pairwise distinct.
+  // Sized up front: growing it by doubling on every refresh can leave the
+  // allocator returning and re-faulting its pages each time.
   std::vector<interval::Interval> intervals;
+  intervals.reserve(static_cast<size_t>(
+      std::count(cand_valid_.begin() + 1, cand_valid_.end(), uint8_t{1})));
   for (int64_t anchor = 1; anchor <= n; ++anchor) {
     const size_t a = static_cast<size_t>(anchor);
     if (cand_valid_[a] != 0) {

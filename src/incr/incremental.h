@@ -10,16 +10,13 @@
 //   * Every generator emits at most one candidate per anchor, so a
 //     per-anchor candidate store is a complete representation of the
 //     candidate set, and candidates have pairwise-distinct positions.
-//   * A per-anchor test (breakpoint search + confidence probe) is SETTLED
-//     when its result provably cannot change under any extension: a level /
-//     chain breakpoint strictly below the old n is settled forever (the
-//     sparsification area is nondecreasing in j, so area(t+1) > T persists),
-//     while a breakpoint AT the old n may extend. Settled confidence tests
-//     fold into a per-anchor (best_j, best_conf) pair once and are never
-//     re-evaluated; the at-most-one unsettled frontier test per anchor is
-//     re-probed per batch in O(1) (is area(n') still within the frontier
-//     threshold?) and searched for (LargestEndpointWithin) only when it
-//     settles.
+//   * A breakpoint strictly below the old n is SETTLED forever (the
+//     sparsification area is nondecreasing in j, so area(t+1) > T
+//     persists); one at the old n may extend. Settled confidence tests fold
+//     into a per-anchor (best_j, best_conf) pair once; a search that sits
+//     at n parks the anchor and is re-run each batch, one probe while it
+//     stays parked. AB-opt advances the generator's own walk
+//     (interval::internal::AbOptWalk); AB re-walks its level ladder here.
 //   * NAB/NAB-opt candidates for old right anchors are exactly unchanged
 //     (their length schedule prefix and left-anchor probes are independent
 //     of n), so only the m new anchors walk at all.
@@ -49,12 +46,9 @@
 // Scope: sequential execution (the fresh side may use any thread count —
 // candidates are bit-identical by that knob's contract); stop_on_full_cover
 // is rejected (its emitted set depends on visit order, which incremental
-// maintenance cannot reproduce). The per-anchor frontier restricts re-walks
-// to exactly the anchors whose reachable suffix changed.
-// The engine assumes B dominates A (paper §II; run series preprocessing
-// first), which is what makes the sparsification areas monotone and the
-// frontier O(1) probes sound — the same assumption the generators'
-// endpoint searches already make.
+// maintenance cannot reproduce). The engine assumes B dominates A (paper
+// §II; run series preprocessing first), which makes the sparsification
+// areas monotone, as the generators' endpoint searches already assume.
 
 #ifndef CONSERVATION_INCR_INCREMENTAL_H_
 #define CONSERVATION_INCR_INCREMENTAL_H_
@@ -65,6 +59,7 @@
 
 #include "core/confidence.h"
 #include "core/tableau.h"
+#include "interval/area_based_opt.h"
 #include "interval/generator.h"
 #include "interval/interval.h"
 #include "series/cumulative.h"
@@ -143,24 +138,6 @@ class IncrementalDiscoverer {
     double best_conf = 0.0;
   };
 
-  // Per-anchor resume state for the AB-opt breakpoint chain. O(1) per
-  // anchor: pending search parameters re-derive from `cur` (the last
-  // settled chain position), so the walk never stores its breakpoint list.
-  struct AbOptState {
-    enum : uint8_t {
-      kFresh = 0,        // never walked, or sticky (zero-area suffix == n)
-      kPendingInit = 1,  // init search's frontier result sits at n
-      kPendingChain = 2,  // chain search from settled `cur` sits at n
-      kChainEnd = 3,      // chain settled exactly at n; resumes from cur
-    };
-    uint8_t stage = kFresh;
-    bool zae_settled = false;
-    int64_t zae = 0;
-    int64_t cur = 0;
-    int64_t best_j = 0;
-    double best_conf = 0.0;
-  };
-
   // Exhaustive: every test settles the batch it runs in.
   struct ExhState {
     int64_t best_j = 0;
@@ -212,7 +189,10 @@ class IncrementalDiscoverer {
   // 1-based per-anchor state (index 0 unused); only the request's
   // algorithm's vector is populated.
   std::vector<AbState> ab_;
-  std::vector<AbOptState> abopt_;
+  std::vector<interval::internal::AbOptState> abopt_;
+  // Kept across batches: scratch allocated per batch slowed serving's
+  // apply (perfbench serve_fresh).
+  interval::internal::AbOptScratch abopt_scratch_;
   std::vector<ExhState> exh_;
 
   // 1-based per-anchor candidate store. For left-anchored algorithms the

@@ -76,9 +76,9 @@ class ConfidenceKernel {
 
   // Largest j in [lo, hi] with SparseArea(j) <= threshold, or lo - 1 if even
   // SparseArea(lo) exceeds it, adding one to *probes per area evaluated.
-  // AB-opt's chain (and the incremental engine's, within a batch) passes
-  // its previous breakpoint step as the guess; AB's first touch of a level
-  // and the engine's zero, init and settling searches pass 1.
+  // AB-opt's walk passes its previous chain step as the guess and 1 for
+  // its zero and init searches (AbOptWalk); AB's first touch of a level
+  // passes 1.
   int64_t LargestEndpointWithin(int64_t lo, int64_t hi, int64_t guess,
                                 double threshold, uint64_t* probes) const {
     return LargestEndpointWithin(lo, hi, guess, threshold, probes,

@@ -3,7 +3,6 @@
 #include "core/diagnose.h"
 #include "core/multi_resolution.h"
 #include "datagen/intersection.h"
-#include "stream/multi_window_monitor.h"
 
 namespace conservation {
 namespace {
@@ -98,87 +97,6 @@ TEST(MultiResolutionTest, SkipsOverlyCoarseFactors) {
   auto scan = core::MultiResolutionScan(*counts, request, {1, 2, 3, 100});
   ASSERT_TRUE(scan.ok());
   ASSERT_EQ(scan->size(), 2u);  // factors 1 and 2; 3 and 100 > n/2
-}
-
-TEST(MultiWindowMonitorTest, TracksAllWindows) {
-  stream::StreamOptions options;
-  options.alert_threshold = 0.5;
-  options.clear_threshold = 0.6;
-  stream::MultiWindowMonitor monitor(options, {8, 32});
-  ASSERT_EQ(monitor.num_windows(), 2u);
-
-  // Healthy prefix, then a dead zone long enough for the short window only.
-  for (int t = 0; t < 64; ++t) monitor.Observe(5.0, 5.0);
-  for (int t = 0; t < 10; ++t) monitor.Observe(0.0, 5.0);
-  const auto confidences = monitor.WindowConfidences();
-  ASSERT_EQ(confidences.size(), 2u);
-  ASSERT_TRUE(confidences[0].has_value());
-  ASSERT_TRUE(confidences[1].has_value());
-  // The 8-tick window is fully inside the dead zone: confidence ~0; the
-  // 32-tick window still carries healthy mass.
-  EXPECT_LT(*confidences[0], 0.1);
-  EXPECT_GT(*confidences[1], *confidences[0]);
-
-  const auto worst = monitor.Worst();
-  ASSERT_TRUE(worst.has_value());
-  EXPECT_EQ(worst->window, 8);
-  EXPECT_TRUE(monitor.AnyViolation());
-
-  // Recover (drain the backlog legally: outbound catches up).
-  for (int t = 0; t < 25; ++t) monitor.Observe(7.0, 5.0);
-  for (int t = 0; t < 40; ++t) monitor.Observe(5.0, 5.0);
-  monitor.Flush();
-  const auto episodes = monitor.AllEpisodes();
-  ASSERT_GE(episodes.size(), 1u);
-  bool has_short_window_episode = false;
-  for (const auto& scoped : episodes) {
-    if (scoped.window == 8) has_short_window_episode = true;
-  }
-  EXPECT_TRUE(has_short_window_episode);
-}
-
-TEST(MultiWindowMonitorTest, RejectsDuplicateWindows) {
-  stream::StreamOptions options;
-  EXPECT_DEATH(stream::MultiWindowMonitor(options, {8, 8}), "insert");
-}
-
-TEST(MultiWindowMonitorTest, ObserveBatchMatchesPerTickObserve) {
-  stream::StreamOptions options;
-  options.alert_threshold = 0.5;
-  options.clear_threshold = 0.6;
-
-  // The same traffic — healthy, dead zone, recovery — fed tick-by-tick and
-  // as parallel batches must leave both monitors in the same state.
-  std::vector<double> out_a;
-  std::vector<double> in_b;
-  for (int t = 0; t < 64; ++t) { out_a.push_back(5.0); in_b.push_back(5.0); }
-  for (int t = 0; t < 10; ++t) { out_a.push_back(0.0); in_b.push_back(5.0); }
-  for (int t = 0; t < 25; ++t) { out_a.push_back(7.0); in_b.push_back(5.0); }
-
-  stream::MultiWindowMonitor sequential(options, {8, 32});
-  for (size_t t = 0; t < out_a.size(); ++t) {
-    sequential.Observe(out_a[t], in_b[t]);
-  }
-  stream::MultiWindowMonitor batched(options, {8, 32}, /*num_threads=*/2);
-  const size_t half = out_a.size() / 2;
-  batched.ObserveBatch({out_a.begin(), out_a.begin() + half},
-                       {in_b.begin(), in_b.begin() + half});
-  batched.ObserveBatch({out_a.begin() + half, out_a.end()},
-                       {in_b.begin() + half, in_b.end()});
-
-  EXPECT_EQ(batched.ticks(), sequential.ticks());
-  const auto seq_conf = sequential.WindowConfidences();
-  const auto bat_conf = batched.WindowConfidences();
-  ASSERT_EQ(bat_conf.size(), seq_conf.size());
-  for (size_t w = 0; w < seq_conf.size(); ++w) {
-    ASSERT_EQ(bat_conf[w].has_value(), seq_conf[w].has_value()) << w;
-    if (seq_conf[w].has_value()) {
-      EXPECT_DOUBLE_EQ(*bat_conf[w], *seq_conf[w]) << w;
-    }
-  }
-  sequential.Flush();
-  batched.Flush();
-  EXPECT_EQ(batched.AllEpisodes().size(), sequential.AllEpisodes().size());
 }
 
 }  // namespace

@@ -10,11 +10,10 @@ build_dir="${repo_root}/build-tsan"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCONSERVATION_SANITIZE=thread
 cmake --build "${build_dir}" -j \
-  --target parallel_test interval_test shard_scheduler_test \
-  multi_resolution_test network_test
+  --target parallel_test interval_test shard_scheduler_test network_test
 
 # gtest_discover_tests registers ctest entries per gtest suite.case, so
 # filter on the suites that stress the concurrent code.
 ctest --test-dir "${build_dir}" --output-on-failure \
-  -R 'ParallelFor|ThreadPool|ShardInvariance|ShardScheduler|MultiWindowMonitor|FleetTest' \
+  -R 'ParallelFor|ThreadPool|ShardInvariance|ShardScheduler|FleetTest' \
   "$@"

@@ -88,6 +88,7 @@
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "obs/window.h"
+#include "series/sequence.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -409,9 +410,21 @@ int main(int argc, char** argv) {
     const int64_t m = *append_batch;
     const series::CountSequence& full = rule->counts();
     const int64_t n = full.n();
-    const int64_t initial = std::min<int64_t>(m, n);
-    auto discoverer = incr::IncrementalDiscoverer::Create(
-        full.Prefix(initial), request);
+    // The first batch grows in steps of m until CountSequence::Create
+    // accepts it (a serving tenant holds ticks back the same way); the full
+    // series is valid, so this ends by n.
+    auto prefix_of = [&full](int64_t len) {
+      return series::CountSequence::Create(
+          {full.outbound().begin(), full.outbound().begin() + len},
+          {full.inbound().begin(), full.inbound().begin() + len});
+    };
+    int64_t initial = std::min<int64_t>(m, n);
+    auto prefix = prefix_of(initial);
+    while (!prefix.ok()) {
+      initial = std::min<int64_t>(initial + m, n);
+      prefix = prefix_of(initial);
+    }
+    auto discoverer = incr::IncrementalDiscoverer::Create(*prefix, request);
     if (!discoverer.ok()) return Fail(discoverer.status().ToString());
     const std::vector<double>& a = full.outbound();
     const std::vector<double>& b = full.inbound();
