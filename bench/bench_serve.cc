@@ -97,7 +97,6 @@ RowResult RunRow(const RowConfig& config, int readers, int64_t max_hot) {
   tenant_config.request.type = core::TableauType::kFail;
   tenant_config.request.c_hat = 0.5;
   tenant_config.request.s_hat = 0.05;
-  tenant_config.append_only = true;
   tenant_config.max_hot = max_hot;
 
   serve::DaemonOptions options;

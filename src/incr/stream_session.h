@@ -45,8 +45,10 @@ class StreamSession {
   StreamSession& operator=(StreamSession&&) = default;
 
   // Ingests one batch: tick-by-tick into the monitor (episodes fire
-  // in-line), one append into the discoverer. Returns the refreshed
-  // tableau.
+  // in-line), one append into the discoverer. Returns the discoverer's
+  // tableau: up to date, unless the discoverer defers its cover
+  // (IncrementalDiscoverer::SetAppendOnly), in which case it is the last
+  // refreshed snapshot until RefreshCover().
   const core::Tableau& ObserveBatch(const double* a, const double* b,
                                     int64_t m);
   const core::Tableau& ObserveBatch(const std::vector<double>& a,

@@ -15,8 +15,10 @@
 
 #include "obs/labels.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "util/check.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 #ifndef MSG_NOSIGNAL
@@ -45,10 +47,13 @@ struct ServeMetrics {
   obs::Gauge& tenants_hot;
   obs::Gauge& inflight;
   obs::Histogram& dispatch_seconds;
+  obs::Histogram& cover_refresh_seconds;
   obs::Histogram& dispatch_ticks;
 
   static ServeMetrics& Get() {
     auto& reg = obs::Registry::Global();
+    static const std::vector<double> seconds_bounds = {
+        1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0};
     static ServeMetrics metrics{
         reg.Counter("serve.connections"),
         reg.Counter("serve.frames"),
@@ -67,8 +72,8 @@ struct ServeMetrics {
         reg.Gauge("serve.tenants"),
         reg.Gauge("serve.tenants_hot"),
         reg.Gauge("serve.inflight_tenants"),
-        reg.Histogram("serve.dispatch_batch_seconds",
-                      {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0}),
+        reg.Histogram("serve.dispatch_batch_seconds", seconds_bounds),
+        reg.Histogram("serve.cover_refresh_seconds", seconds_bounds),
         reg.Histogram("serve.dispatch_ticks",
                       {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0}),
     };
@@ -93,8 +98,7 @@ bool SendAll(int fd, const char* data, size_t size) {
 
 ServeDaemon::ServeDaemon(const TenantConfig& tenant_config,
                          const DaemonOptions& options)
-    : tenant_config_(tenant_config),
-      options_(options),
+    : options_(options),
       registry_(tenant_config) {}
 
 ServeDaemon::~ServeDaemon() { Stop(); }
@@ -142,8 +146,8 @@ util::Status ServeDaemon::Start() {
   for (int i = 0; i < readers; ++i) {
     reader_threads_.emplace_back([this] { ReaderLoop(); });
   }
-  if (options_.refresh_ms > 0) {
-    refresh_thread_ = std::thread([this] { RefreshLoop(); });
+  if (registry_.config().max_hot > 0 && options_.refresh_ms > 0) {
+    evict_thread_ = std::thread([this] { EvictLoop(); });
   }
   return util::Status::Ok();
 }
@@ -177,9 +181,8 @@ void ServeDaemon::Stop() {
   // Everything accepted must apply before shutdown is "clean".
   DrainQueues();
 
-  refresh_cv_.notify_all();
-  if (refresh_thread_.joinable()) refresh_thread_.join();
-  RefreshSweep(/*final_sweep=*/true);
+  evict_cv_.notify_all();
+  if (evict_thread_.joinable()) evict_thread_.join();
 
   running_.store(false, std::memory_order_release);
 }
@@ -390,23 +393,37 @@ void ServeDaemon::ProcessTenant(uint64_t tenant_id) {
     UpdateQueueGauges();
   }
 
-  const auto start = std::chrono::steady_clock::now();
+  util::Stopwatch timer;
   {
+    obs::ScopedSpan span("serve.apply", "ticks", m);
     obs::ScopedDeadline deadline("serve.tenant_batch",
                                  options_.dispatch_budget_seconds);
     registry_.ApplyBatch(*tenant, fault, a, b);
   }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  metrics.dispatch_seconds.Record(seconds);
+  metrics.dispatch_seconds.Record(timer.ElapsedSeconds());
   metrics.dispatch_ticks.Record(static_cast<double>(m));
   metrics.batches_dispatched.Increment();
   metrics.ticks_processed.Add(static_cast<uint64_t>(m));
 
+  // Still pinned: refresh before the pin can clear, so a hot tenant that is
+  // not in flight always has a fresh tableau.
+  timer.Restart();
+  bool refreshed = false;
+  {
+    obs::ScopedSpan span("serve.cover_refresh");
+    obs::ScopedDeadline deadline("serve.cover_refresh",
+                                 options_.dispatch_budget_seconds);
+    refreshed = registry_.RefreshCover(*tenant);
+  }
+  if (refreshed) {
+    metrics.cover_refresh_seconds.Record(timer.ElapsedSeconds());
+    metrics.cover_refreshes.Increment();
+  }
+
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.batches_dispatched;
   stats_.ticks_processed += static_cast<uint64_t>(m);
+  if (refreshed) ++stats_.cover_refreshes;
   if (!tenant->pend_a.empty()) {
     // More ticks landed while we were applying: keep the pin, go again.
     tenant->last_dispatch_seq = ++dispatch_seq_;
@@ -422,74 +439,24 @@ void ServeDaemon::ProcessTenant(uint64_t tenant_id) {
   }
 }
 
-void ServeDaemon::RefreshLoop() {
+void ServeDaemon::EvictLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     {
-      std::unique_lock<std::mutex> lock(refresh_mu_);
-      refresh_cv_.wait_for(
+      std::unique_lock<std::mutex> lock(evict_mu_);
+      evict_cv_.wait_for(
           lock, std::chrono::milliseconds(options_.refresh_ms),
           [this] { return stopping_.load(std::memory_order_acquire); });
     }
     if (stopping_.load(std::memory_order_acquire)) return;
-    RefreshSweep(/*final_sweep=*/false);
+    EvictSweep();
   }
 }
 
-void ServeDaemon::RefreshSweep(bool final_sweep) {
-  ServeMetrics& metrics = ServeMetrics::Get();
-  // Pass 1: cover refreshes for dirty idle tenants. Each tenant is pinned
-  // (in_flight) so the refresh can run unlocked without racing a dispatch.
-  std::vector<uint64_t> dirty;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, tenant] : registry_.tenants()) {
-      // in_flight must be tested first: session/cover_dirty are written by
-      // the pinned worker outside mu_, so they may only be read once the
-      // pin is observed clear (the worker releases it under mu_).
-      if (!tenant->in_flight && tenant->pend_a.empty() &&
-          tenant->session != nullptr && tenant->cover_dirty) {
-        dirty.push_back(id);
-      }
-    }
-  }
-  for (const uint64_t id : dirty) {
-    Tenant* tenant = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tenant = registry_.Find(id);
-      if (tenant == nullptr || tenant->in_flight || !tenant->cover_dirty ||
-          tenant->session == nullptr || !tenant->pend_a.empty()) {
-        continue;
-      }
-      tenant->in_flight = true;
-      ++in_flight_tenants_;
-    }
-    {
-      obs::ScopedDeadline deadline("serve.cover_refresh",
-                                   options_.dispatch_budget_seconds);
-      registry_.RefreshCover(*tenant);
-    }
-    metrics.cover_refreshes.Increment();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.cover_refreshes;
-    tenant->in_flight = false;
-    --in_flight_tenants_;
-    if (!tenant->pend_a.empty()) {
-      // Ticks arrived mid-refresh and their admission saw in_flight set;
-      // dispatch them now.
-      tenant->in_flight = true;
-      ++in_flight_tenants_;
-      tenant->last_dispatch_seq = ++dispatch_seq_;
-      util::ThreadPool::Shared().Submit([this, id] { ProcessTenant(id); });
-    } else if (global_queue_ticks_ == 0 && in_flight_tenants_ == 0) {
-      drain_cv_.notify_all();
-    }
-  }
-
-  // Pass 2: enforce the hot-tenant bound (skipped on the final sweep —
-  // shutdown keeps sessions so embedders can inspect them).
+void ServeDaemon::EvictSweep() {
+  // Evict least-recently-dispatched idle tenants down to the hot bound.
+  // Each victim is pinned (in_flight) so the eviction can run unlocked
+  // without racing a dispatch.
   const int64_t max_hot = registry_.config().max_hot;
-  if (final_sweep || max_hot <= 0) return;
   while (registry_.hot_count() > max_hot) {
     Tenant* victim = nullptr;
     {
@@ -497,10 +464,6 @@ void ServeDaemon::RefreshSweep(bool final_sweep) {
       const std::vector<uint64_t> idle = registry_.HotIdleByLru();
       if (idle.empty()) return;
       victim = registry_.Find(idle.front());
-      if (victim == nullptr || victim->in_flight ||
-          victim->session == nullptr || !victim->pend_a.empty()) {
-        return;
-      }
       victim->in_flight = true;
       ++in_flight_tenants_;
     }
@@ -510,6 +473,8 @@ void ServeDaemon::RefreshSweep(bool final_sweep) {
     --in_flight_tenants_;
     UpdateQueueGauges();
     if (!victim->pend_a.empty()) {
+      // Ticks arrived mid-eviction and their admission saw in_flight set;
+      // dispatch them now (the dispatch faults the tenant back up).
       victim->in_flight = true;
       ++in_flight_tenants_;
       victim->last_dispatch_seq = ++dispatch_seq_;

@@ -16,19 +16,22 @@
 //             util::ThreadPool. ProcessTenant swaps the tenant's pending
 //             queue out under the mutex, applies it to the stream session
 //             OUTSIDE the mutex (the batch append is the dominant cost),
-//             then either resubmits itself (more ticks arrived meanwhile)
-//             or clears in_flight. Per-tenant ordering is the in_flight
-//             flag; cross-tenant parallelism is the pool. Each dispatched
-//             batch runs under an obs::ScopedDeadline so a wedged tenant
-//             trips the watchdog.
+//             refreshes the session's cover, then either resubmits itself
+//             (more ticks arrived meanwhile) or clears in_flight.
+//             Per-tenant ordering is the in_flight flag; cross-tenant
+//             parallelism is the pool. The apply and the refresh each run
+//             under an obs::ScopedDeadline so a wedged tenant trips the
+//             watchdog.
 //
-//   refresh   In append-only mode sessions defer cover maintenance
-//             (incr/incremental.h SetAppendOnly); a periodic refresh
-//             thread sweeps dirty idle tenants and brings their tableaux
-//             up to date, amortizing cover cost across many small appends.
-//             The same sweep enforces the hot-tenant bound by evicting
-//             least-recently-dispatched idle sessions (their raw logs
-//             stay for fault-up).
+//   refresh   Sessions defer cover maintenance (incr/incremental.h
+//             SetAppendOnly), so the apply stays cheap; the worker that
+//             applied a batch refreshes the cover once before it releases
+//             the pin. Invariant: a hot tenant that is not in flight
+//             always has a fresh tableau.
+//
+//   evict     With a hot-tenant bound (TenantConfig::max_hot), a sweep
+//             thread evicts least-recently-dispatched idle sessions every
+//             refresh_ms (their raw logs stay for fault-up).
 //
 //   observe   serve.* counters/gauges/histograms (docs/OBSERVABILITY.md)
 //             flow through the process registry; pair with
@@ -37,9 +40,9 @@
 //             own either, so embedders (tests, benches) compose them.
 //
 //   drain     Stop() closes the listener, waking readers, lets every
-//             queued tick apply, runs a final cover refresh over dirty
-//             tenants, and joins all threads. After Stop returns no tenant
-//             has pending ticks — the "clean drain" the soak tests and
+//             queued tick apply, and joins all threads. After Stop (or
+//             DrainQueues) returns no tenant has pending ticks and every
+//             hot tableau is fresh — the "clean drain" the soak tests and
 //             SIGTERM handler rely on.
 //
 // Concurrency notes: one mutex guards the registry + queues. That is a
@@ -77,8 +80,9 @@ struct DaemonOptions {
   // kBackpressure and must be retried by the client.
   int64_t max_tenant_queue_ticks = 4096;
   int64_t max_global_queue_ticks = 1 << 20;
-  // Cover refresh + eviction sweep period; 0 disables the thread (covers
-  // then refresh only on Stop, eviction never runs).
+  // Eviction sweep period. The sweep thread runs only when this and
+  // TenantConfig::max_hot are both > 0. (Covers refresh in the dispatching
+  // worker, not on this period; the name predates that.)
   int64_t refresh_ms = 200;
   // Watchdog budget for one dispatched tenant batch (seconds; 0 = watchdog
   // default).
@@ -107,16 +111,17 @@ class ServeDaemon {
   ServeDaemon(const ServeDaemon&) = delete;
   ServeDaemon& operator=(const ServeDaemon&) = delete;
 
-  // Binds, listens and starts the accept/reader/refresh threads.
+  // Binds, listens and starts the accept/reader/eviction threads.
   util::Status Start();
 
   // Graceful shutdown: stop accepting, unblock and join readers, drain
-  // every pending tick through the dispatch pool, final cover refresh,
-  // join the refresh thread. Idempotent.
+  // every pending tick through the dispatch pool, join the eviction
+  // thread. Idempotent.
   void Stop();
 
   // Blocks until every accepted tick has been applied and no dispatch is
-  // in flight (steady state for tests; Stop calls this too).
+  // in flight, so every hot tenant's tableau is fresh (steady state for
+  // tests; Stop calls this too).
   void DrainQueues();
 
   int port() const { return port_; }
@@ -127,24 +132,19 @@ class ServeDaemon {
   TenantRegistry& registry() { return registry_; }
 
  private:
-  struct PendingAck {
-    int fd = 0;
-    AckFrame ack;
-  };
-
   void AcceptLoop();
   void ReaderLoop();
-  void RefreshLoop();
+  void EvictLoop();
   void ServeConnection(int fd);
   // Admission + enqueue for one decoded append; fills *ack. Called with
   // mu_ held.
   void AdmitAppendLocked(const AppendFrame& append, AckFrame* ack);
-  // Dispatched on the shared pool; owns the tenant via in_flight.
+  // Dispatched on the shared pool; owns the tenant via in_flight. Applies
+  // the pending batch, then refreshes the cover.
   void ProcessTenant(uint64_t tenant_id);
-  void RefreshSweep(bool final_sweep);
+  void EvictSweep();
   void UpdateQueueGauges();  // mu_ held
 
-  TenantConfig tenant_config_;
   DaemonOptions options_;
 
   std::atomic<bool> running_{false};
@@ -157,7 +157,7 @@ class ServeDaemon {
 
   std::thread accept_thread_;
   std::vector<std::thread> reader_threads_;
-  std::thread refresh_thread_;
+  std::thread evict_thread_;
 
   // Accepted connections waiting for a reader.
   std::mutex conn_mu_;
@@ -173,9 +173,9 @@ class ServeDaemon {
   uint64_t dispatch_seq_ = 0;
   DaemonStats stats_;
 
-  // Refresh thread wakeup (poked by Stop for prompt exit).
-  std::mutex refresh_mu_;
-  std::condition_variable refresh_cv_;
+  // Eviction thread wakeup (poked by Stop for prompt exit).
+  std::mutex evict_mu_;
+  std::condition_variable evict_cv_;
 };
 
 }  // namespace conservation::serve

@@ -104,15 +104,12 @@ void TenantRegistry::ApplyBatch(Tenant& tenant, bool fault,
                                 const std::vector<double>& a,
                                 const std::vector<double>& b) {
   if (fault) {
-    if (FaultUp(tenant, a, b) && config_.append_only) {
-      tenant.cover_dirty = true;
-    }
+    FaultUp(tenant, a, b);
     return;
   }
   CR_CHECK(tenant.session != nullptr);
   if (a.empty()) return;
   tenant.session->ObserveBatch(a, b);
-  if (config_.append_only) tenant.cover_dirty = true;
 }
 
 int64_t TenantRegistry::ApplyPending(Tenant& tenant) {
@@ -139,7 +136,7 @@ bool TenantRegistry::FaultUp(Tenant& tenant, const std::vector<double>& a,
   CR_CHECK(session.ok());
   tenant.session =
       std::make_unique<incr::StreamSession>(std::move(session).value());
-  tenant.session->discoverer().SetAppendOnly(config_.append_only);
+  tenant.session->discoverer().SetAppendOnly(true);
   hot_count_.fetch_add(1, std::memory_order_relaxed);
   faults_.fetch_add(1, std::memory_order_relaxed);
   FaultCounter().Increment();
@@ -147,15 +144,15 @@ bool TenantRegistry::FaultUp(Tenant& tenant, const std::vector<double>& a,
 }
 
 bool TenantRegistry::RefreshCover(Tenant& tenant) {
-  if (tenant.session == nullptr || !tenant.cover_dirty) return false;
-  tenant.session->discoverer().RefreshCover();
-  tenant.cover_dirty = false;
+  if (tenant.session == nullptr) return false;
+  incr::IncrementalDiscoverer& discoverer = tenant.session->discoverer();
+  if (!discoverer.cover_stale()) return false;
+  discoverer.RefreshCover();
   return true;
 }
 
 void TenantRegistry::Evict(Tenant& tenant) {
   CR_CHECK(tenant.session != nullptr);
-  RefreshCover(tenant);  // don't discard deferred cover work with the session
   tenant.session.reset();
   hot_count_.fetch_sub(1, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);

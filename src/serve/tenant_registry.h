@@ -14,8 +14,8 @@
 //     scheduler dispatch;
 //   * the HOT state, when resident: a StreamSession (incremental
 //     discoverer + streaming monitor) over the full raw log, running in
-//     append-only mode so small batches defer cover work to the periodic
-//     refresh tick;
+//     append-only mode so the batches one dispatch applies defer their
+//     cover work to one RefreshCover at the end of that dispatch;
 //   * the COLD state, after eviction: no session, only the raw log and
 //     the dominance filter. Fault-up rebuilds the session from the raw
 //     log; by the incremental engine's exactness contract the refreshed
@@ -25,8 +25,8 @@
 // Thread-safety: NONE — the registry is a plain data structure. The daemon
 // (serve/daemon.h) serializes all access under its own mutex and uses the
 // in_flight flag to pin a tenant while a dispatched batch runs outside the
-// lock (ClaimForDispatch / FinishDispatch). Eviction skips in-flight
-// tenants for the same reason.
+// lock (ApplyBatch, then RefreshCover). Eviction skips in-flight tenants
+// for the same reason.
 
 #ifndef CONSERVATION_SERVE_TENANT_REGISTRY_H_
 #define CONSERVATION_SERVE_TENANT_REGISTRY_H_
@@ -89,8 +89,10 @@ struct TenantConfig {
   // constructed.
   core::TableauRequest request;
   stream::StreamOptions stream;
-  // Defer per-batch cover maintenance to RefreshDirtyCovers (recommended
-  // for serving; incr/incremental.h SetAppendOnly).
+  // Unread: sessions always defer their cover to RefreshCover
+  // (incr/incremental.h SetAppendOnly). Like GeneratorStats::anchors_pruned
+  // and LaneOccupancy() (interval/generator.h), it stays only because the
+  // frozen benchmark harness (perfbench/perfbench.cc) assigns it.
   bool append_only = true;
   // Label each tenant's monitor metrics ({tenant=...} children). Off by
   // default: past the 64-labelset family cap every extra tenant funnels
@@ -125,8 +127,6 @@ struct Tenant {
   // ordering): set while a dispatched batch for this tenant runs outside
   // the registry lock.
   bool in_flight = false;
-  // Appends were applied since the last cover refresh (append-only mode).
-  bool cover_dirty = false;
   // Monotone dispatch clock position of the last dispatch (LRU key).
   uint64_t last_dispatch_seq = 0;
 
@@ -160,8 +160,8 @@ class TenantRegistry {
   //     the number of pending ticks consumed.
   //   * ApplyBatch (call UNLOCKED, tenant pinned via in_flight) feeds the
   //     snapshot to the session, creating it first on the fault path. Only
-  //     tenant.session / tenant.cover_dirty are touched —
-  //     fields readers never access.
+  //     tenant.session is touched — a field readers never access. The
+  //     cover stays stale until RefreshCover.
   int64_t PrepareDispatch(Tenant& tenant, std::vector<double>* a,
                           std::vector<double>* b, bool* fault);
   void ApplyBatch(Tenant& tenant, bool fault, const std::vector<double>& a,
@@ -170,15 +170,15 @@ class TenantRegistry {
   // Convenience for single-threaded callers (tests): Prepare + Apply.
   int64_t ApplyPending(Tenant& tenant);
 
-  // Refreshes the deferred cover of a hot, dirty tenant (append-only
-  // mode); no-op otherwise. Call unlocked with the tenant pinned. Returns
-  // true when a refresh ran.
+  // Refreshes the deferred cover of a hot tenant whose discoverer reports
+  // cover_stale(); no-op otherwise. Call unlocked with the tenant pinned.
+  // Returns true when a refresh ran.
   bool RefreshCover(Tenant& tenant);
 
-  // Demotes the tenant to cold: refreshes any deferred cover and drops
-  // the session (the raw log stays for fault-up). Call unlocked with the tenant pinned; ticks that arrive
-  // during the eviction stay pending and fault the tenant right back up
-  // on their dispatch.
+  // Demotes the tenant to cold: drops the session (the raw log stays for
+  // fault-up, which rebuilds the tableau). Call unlocked with the tenant
+  // pinned; ticks that arrive during the eviction stay pending and fault
+  // the tenant right back up on their dispatch.
   void Evict(Tenant& tenant);
 
   // Ids of hot, idle (not in_flight, no pending) tenants ordered by
@@ -197,7 +197,7 @@ class TenantRegistry {
     return evictions_.load(std::memory_order_relaxed);
   }
 
-  // Iteration for refresh ticks / drain checks.
+  // Iteration for drain checks.
   std::unordered_map<uint64_t, std::unique_ptr<Tenant>>& tenants() {
     return tenants_;
   }

@@ -251,6 +251,69 @@ TEST(IncrementalDiscoverer, CreditGapDropDirtiesAnchorsAndStaysIdentical) {
   ExpectSameTableau(discoverer->tableau(), fresh.value(), " credit-dirty");
 }
 
+// AB-opt parks an anchor on its init search when the anchor's whole suffix
+// area is still within Delta at the end of a batch (the search reaches n).
+// Resumed, that search must settle against Delta itself, where a fresh
+// walk settles, not against the chain's Delta (1 + epsilon) target. Every
+// batch here drains its slack to zero and ends in ticks with a = 0, the
+// last of them (0, 1); the next batch opens with (1.02, 1.02). A fail
+// tableau's tail anchors thus have suffix area 0 <= Delta = 1 and a
+// qualifying conf-0 interval up to the old n, and the opening tick moves
+// their area into (Delta, Delta (1 + epsilon)] while their confidence
+// stops qualifying: only a search against Delta keeps the old n as a
+// breakpoint. The gap never falls below an old tail anchor's suffix
+// minimum, so no credit/debit anchor is re-walked from scratch.
+// Credit-model fail tableaux park these anchors on the zero search
+// instead; the hold runs replay the same batches.
+TEST(IncrementalDiscoverer, AbOptInitParkedAnchorsResumeAcrossBatches) {
+  constexpr int64_t kBatch = 16;
+  constexpr int64_t kTail = 4;  // ticks with a = 0 after the drain
+  util::Rng rng(/*seed=*/2027);
+  std::vector<double> a;
+  std::vector<double> b;
+  double gap = 0.0;  // cumulative b - a
+  for (int64_t t = 0; t < 8 * kBatch; ++t) {
+    const int64_t pos = t % kBatch;
+    double outbound = 0.0;
+    double inbound = 0.0;
+    if (pos == 0) {
+      outbound = inbound = 1.02;
+    } else if (pos < kBatch - kTail - 1) {
+      inbound = static_cast<double>(rng.UniformInt(1, 5));
+      outbound = static_cast<double>(
+          rng.UniformInt(0, static_cast<int64_t>(inbound)));
+    } else if (pos == kBatch - kTail - 1) {
+      outbound = gap;  // drain: the tail anchors start at zero slack
+    } else if (pos == kBatch - 1) {
+      inbound = 1.0;
+    }
+    a.push_back(outbound);
+    b.push_back(inbound);
+    gap += inbound - outbound;
+  }
+  auto counts = series::CountSequence::Create(a, b);
+  ASSERT_TRUE(counts.ok());
+
+  for (const ConfidenceModel model :
+       {ConfidenceModel::kBalance, ConfidenceModel::kCredit,
+        ConfidenceModel::kDebit}) {
+    for (const TableauType type : {TableauType::kHold, TableauType::kFail}) {
+      TableauRequest request;
+      request.algorithm = AlgorithmKind::kAreaBasedOpt;
+      request.model = model;
+      request.type = type;
+      request.c_hat = type == TableauType::kHold ? 0.9 : 0.2;
+      request.s_hat = 0.4;
+      request.epsilon = 0.05;
+      RunReplay(counts.value(), request, kBatch, kBatch,
+                std::string(" [init-park model=") +
+                    core::ConfidenceModelName(model) +
+                    " type=" + core::TableauTypeName(type) + "]");
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 // StreamSession drives the monitor and the discoverer off one ingest path.
 TEST(StreamSession, FeedsBothPlanesAndMatchesFreshDiscovery) {
   const int64_t total_n = 120;

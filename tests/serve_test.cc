@@ -213,7 +213,6 @@ serve::TenantConfig TestTenantConfig() {
   config.request.type = core::TableauType::kFail;
   config.request.c_hat = 0.5;
   config.request.s_hat = 0.05;
-  config.append_only = true;
   return config;
 }
 
@@ -499,8 +498,80 @@ TEST(ServeDaemon, StopDrainsEverythingAccepted) {
   EXPECT_EQ(stats.ticks_processed, accepted_ticks);
   for (auto& [id, tenant] : daemon.registry().tenants()) {
     EXPECT_TRUE(tenant->pend_a.empty()) << "tenant " << id;
-    EXPECT_FALSE(tenant->cover_dirty) << "tenant " << id;
+    if (tenant->session != nullptr) {
+      EXPECT_FALSE(tenant->session->discoverer().cover_stale())
+          << "tenant " << id;
+    }
   }
+}
+
+// The worker that applies a batch refreshes the tenant's cover before it
+// releases the pin, so once DrainQueues returns every hot tableau is fresh
+// with no RefreshCover call and no sweep thread (refresh_ms = 0). Each
+// tenant faults up on its first append (Create builds the cover eagerly)
+// and defers the cover on its second, which its dispatch then refreshes:
+// one refresh per tenant, each timed in serve.cover_refresh_seconds.
+TEST(ServeDaemon, TableauFreshWhenDispatchFinishes) {
+  serve::DaemonOptions options;
+  options.refresh_ms = 0;
+  serve::ServeDaemon daemon(TestTenantConfig(), options);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  constexpr uint64_t kTenants = 4;
+  constexpr int64_t kTicks = 80;
+  std::vector<series::CountSequence> counts;
+  for (uint64_t id = 0; id < kTenants; ++id) {
+    counts.push_back(
+        testing_util::RandomDominatedCounts(/*seed=*/40 + id, kTicks));
+  }
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(daemon.port()).ok());
+  auto append_half = [&](int64_t at) {
+    for (uint64_t id = 0; id < kTenants; ++id) {
+      auto ack = client.Append(id + 1, counts[id].outbound().data() + at,
+                               counts[id].inbound().data() + at, kTicks / 2);
+      ASSERT_TRUE(ack.ok()) << ack.status().message();
+      ASSERT_EQ(ack->status, AckStatus::kOk);
+    }
+    daemon.DrainQueues();
+  };
+  append_half(0);  // fault-up: nothing to refresh
+  if (HasFatalFailure()) return;
+  // Looked up only now that the dispatches have registered them, so the
+  // bounds read below are the daemon's.
+  obs::Registry& registry = obs::Registry::Global();
+  const obs::Histogram& dispatch_seconds =
+      registry.Histogram("serve.dispatch_batch_seconds", {});
+  const obs::Histogram& refresh_seconds =
+      registry.Histogram("serve.cover_refresh_seconds", {});
+  const uint64_t timed_before = refresh_seconds.TotalCount();
+  const uint64_t counted_before =
+      registry.Counter("serve.cover_refreshes").Value();
+  EXPECT_EQ(daemon.Stats().cover_refreshes, 0u);
+  append_half(kTicks / 2);
+  if (HasFatalFailure()) return;
+
+  for (uint64_t id = 0; id < kTenants; ++id) {
+    serve::Tenant* tenant = daemon.registry().Find(id + 1);
+    ASSERT_NE(tenant, nullptr);
+    ASSERT_NE(tenant->session, nullptr);
+    EXPECT_FALSE(tenant->session->discoverer().cover_stale()) << id;
+    const series::CumulativeSeries cumulative(counts[id]);
+    const core::ConfidenceEvaluator eval(&cumulative,
+                                         core::ConfidenceModel::kBalance);
+    auto fresh = core::DiscoverTableau(eval, TestTenantConfig().request);
+    ASSERT_TRUE(fresh.ok());
+    ExpectSameTableau(tenant->session->tableau(), fresh.value(),
+                      " fresh-at-drain tenant " + std::to_string(id));
+  }
+  EXPECT_EQ(daemon.Stats().cover_refreshes, kTenants);
+  EXPECT_EQ(registry.Counter("serve.cover_refreshes").Value() -
+                counted_before,
+            kTenants);
+  EXPECT_EQ(refresh_seconds.TotalCount() - timed_before, kTenants);
+  EXPECT_FALSE(refresh_seconds.bounds().empty());
+  EXPECT_EQ(refresh_seconds.bounds(), dispatch_seconds.bounds());
+  daemon.Stop();
 }
 
 TEST(ServeDaemon, AllZeroTenantStaysPendingOnlyUntilValid) {

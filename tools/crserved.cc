@@ -21,14 +21,14 @@
 //   --algorithm=exhaustive|area|area_opt|nab|nab_opt --epsilon
 //   --window=<w>                  monitor sliding window (default 64)
 //   --label_tenants               per-tenant labeled metric children
-//   --append_only=true|false      defer cover work to the refresh tick
-//                                 (default true)
-//   --refresh_ms=<ms>             cover refresh / eviction sweep period
-//                                 (default 200; 0 disables)
 //   --max_hot=<n>                 hot-session bound; idle LRU tenants have
 //                                 their sessions dropped and are rebuilt
 //                                 from the raw log on their next append
 //                                 (default 0 = unbounded)
+//   --refresh_ms=<ms>             eviction sweep period under --max_hot
+//                                 (default 200; 0 disables eviction).
+//                                 Covers refresh after every dispatched
+//                                 batch, not on this period.
 //
 // Observability:
 //   --metrics_port=<p>            serve /metrics on 127.0.0.1:<p>
@@ -37,8 +37,9 @@
 //
 // An unknown flag is an error (exit 2).
 //
-// Lifecycle: runs until SIGTERM/SIGINT, then drains every accepted tick,
-// refreshes deferred covers, prints a drain summary and exits 0.
+// Lifecycle: runs until SIGTERM/SIGINT, then drains every accepted tick
+// (each dispatch refreshes its tenant's cover), prints a drain summary and
+// exits 0.
 
 #include <csignal>
 #include <cstdio>
@@ -131,9 +132,6 @@ int main(int argc, char** argv) {
   auto label_tenants = flags.GetBoolOr("label_tenants", false);
   if (!label_tenants.ok()) return Fail(label_tenants.status().ToString());
   tenant_config.label_tenants = *label_tenants;
-  auto append_only = flags.GetBoolOr("append_only", true);
-  if (!append_only.ok()) return Fail(append_only.status().ToString());
-  tenant_config.append_only = *append_only;
   auto max_hot = flags.GetIntOr("max_hot", 0);
   if (!max_hot.ok() || *max_hot < 0) return Fail("--max_hot must be >= 0");
   tenant_config.max_hot = *max_hot;

@@ -1,13 +1,13 @@
 // serve_soak: concurrency soak of the serving daemon over real sockets.
 //
-// In-process ServeDaemon with eviction and periodic cover refresh enabled,
-// hammered by several client threads over loopback TCP — each thread owns
-// a connection and round-robins appends across its tenant shard, honoring
-// backpressure. After the drivers finish, the daemon drains and every
-// tenant's maintained tableau is cross-checked bit-identical against
-// from-scratch DiscoverTableau over the tenant's filtered log — the
-// end-to-end statement that batching, scheduling, deferred covers,
-// eviction and re-faulting changed nothing semantically.
+// In-process ServeDaemon with periodic eviction enabled (covers refresh in
+// each dispatch), hammered by several client threads over loopback TCP —
+// each thread owns a connection and round-robins appends across its tenant
+// shard, honoring backpressure. After the drivers finish, the daemon
+// drains and every tenant's maintained tableau is cross-checked
+// bit-identical against from-scratch DiscoverTableau over the tenant's
+// filtered log — the end-to-end statement that batching, scheduling,
+// deferred covers, eviction and re-faulting changed nothing semantically.
 //
 // Run plain (divergence) and under TSan via tools/sanitizer_smoke.sh
 // (memory model), like the other concurrency smokes. Sized to finish in
@@ -104,13 +104,12 @@ int main() {
   tenant_config.request.type = core::TableauType::kFail;
   tenant_config.request.c_hat = 0.5;
   tenant_config.request.s_hat = 0.05;
-  tenant_config.append_only = true;
   tenant_config.max_hot = kTenants / 3;  // force eviction + re-fault churn
 
   serve::DaemonOptions options;
   options.readers = kClients;
   options.max_tenant_queue_ticks = 64;  // small: exercise backpressure
-  options.refresh_ms = 10;              // aggressive refresh/evict sweeps
+  options.refresh_ms = 10;              // aggressive eviction sweeps
 
   serve::ServeDaemon daemon(tenant_config, options);
   util::Status status = daemon.Start();
@@ -143,7 +142,8 @@ int main() {
   CR_CHECK(daemon.registry().evictions() > 0);
 
   // Post-drain identity: each tenant's tableau (faulting cold tenants back
-  // up) must be bit-identical to from-scratch discovery over its log.
+  // up) must be fresh with no refresh called here, and bit-identical to
+  // from-scratch discovery over its log.
   int64_t checked = 0;
   for (auto& [id, tenant] : daemon.registry().tenants()) {
     CR_CHECK(tenant->pend_a.empty());
@@ -151,7 +151,7 @@ int main() {
       daemon.registry().ApplyPending(*tenant);  // fault up from the log
     }
     CR_CHECK(tenant->session != nullptr);
-    daemon.registry().RefreshCover(*tenant);
+    CR_CHECK(!tenant->session->discoverer().cover_stale());
     const core::Tableau& maintained = tenant->session->tableau();
 
     auto counts = series::CountSequence::Create(tenant->log_a, tenant->log_b);
