@@ -61,6 +61,18 @@ std::string Tableau::ToString() const {
   return out;
 }
 
+interval::GeneratorOptions ToGeneratorOptions(const TableauRequest& request) {
+  interval::GeneratorOptions options;
+  options.type = request.type;
+  options.c_hat = request.c_hat;
+  options.epsilon = request.epsilon;
+  options.delta_mode = request.delta_mode;
+  options.stop_on_full_cover = request.stop_on_full_cover;
+  options.largest_first_early_exit = request.largest_first_early_exit;
+  options.num_threads = request.num_threads;
+  return options;
+}
+
 util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
                                       const TableauRequest& request) {
   if (util::Status status = ValidateTableauRequest(request); !status.ok()) {
@@ -92,15 +104,7 @@ util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
                             family.With({{"phase", "assemble"}})};
   }();
 
-  interval::GeneratorOptions gen_options;
-  gen_options.type = request.type;
-  gen_options.c_hat = request.c_hat;
-  gen_options.epsilon = request.epsilon;
-  gen_options.delta_mode = request.delta_mode;
-  gen_options.stop_on_full_cover = request.stop_on_full_cover;
-  gen_options.largest_first_early_exit = request.largest_first_early_exit;
-  gen_options.num_threads = request.num_threads;
-
+  const interval::GeneratorOptions gen_options = ToGeneratorOptions(request);
   Tableau tableau;
   tableau.type = request.type;
   tableau.model = request.model;

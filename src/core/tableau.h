@@ -80,6 +80,10 @@ struct Tableau {
 // two front doors cannot drift on what a well-formed request is.
 util::Status ValidateTableauRequest(const TableauRequest& request);
 
+// The generator options a request asks for; shared with the incremental
+// engine for the same reason.
+interval::GeneratorOptions ToGeneratorOptions(const TableauRequest& request);
+
 // Validates the request and runs both phases.
 util::Result<Tableau> DiscoverTableau(const ConfidenceEvaluator& eval,
                                       const TableauRequest& request);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "obs/labels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -23,28 +22,19 @@ struct CoverMetrics {
   obs::Counter& tick_visits;
   obs::Histogram& seed_seconds;
   obs::Histogram& select_seconds;
-  // Labeled mirror of the two phase histograms under one family
-  // ("cover.phase_seconds"), so the scrape side can select on
-  // {phase="seed"|"select"} like the other phase families.
-  obs::Histogram& seed_phase;
-  obs::Histogram& select_phase;
 
   static CoverMetrics& Get() {
     static CoverMetrics* metrics = [] {
       obs::Registry& registry = obs::Registry::Global();
       const std::vector<double> bounds = {1e-5, 1e-4, 1e-3, 1e-2,
                                           0.1,  1.0,  10.0};
-      obs::HistogramFamily& phases =
-          obs::LabeledHistogram("cover.phase_seconds", bounds);
       return new CoverMetrics{registry.Counter("cover.rounds"),
                               registry.Counter("cover.heap_pops"),
                               registry.Counter("cover.stale_reevaluations"),
                               registry.Counter("cover.tick_visits"),
                               registry.Histogram("cover.seed_seconds", bounds),
                               registry.Histogram("cover.select_seconds",
-                                                 bounds),
-                              phases.With({{"phase", "seed"}}),
-                              phases.With({{"phase", "select"}})};
+                                                 bounds)};
     }();
     return *metrics;
   }
@@ -227,8 +217,6 @@ CoverResult GreedyPartialSetCover(
   metrics.tick_visits.Add(static_cast<uint64_t>(stats.tick_visits));
   metrics.seed_seconds.Record(stats.seed_seconds);
   metrics.select_seconds.Record(stats.select_seconds);
-  metrics.seed_phase.Record(stats.seed_seconds);
-  metrics.select_phase.Record(stats.select_seconds);
 
   result.satisfied = result.covered >= result.required;
   // Chosen intervals are pairwise distinct (a duplicate of a pick never has

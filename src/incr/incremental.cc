@@ -4,6 +4,7 @@
 
 #include "cover/partial_set_cover.h"
 #include "interval/area_based.h"
+#include "interval/exhaustive.h"
 #include "interval/kernel.h"
 #include "interval/non_area_based.h"
 #include "obs/metrics.h"
@@ -104,18 +105,14 @@ util::Result<IncrementalDiscoverer> IncrementalDiscoverer::Create(
 IncrementalDiscoverer::IncrementalDiscoverer(
     const series::CountSequence& initial, const core::TableauRequest& request)
     : request_(request),
+      gen_options_(core::ToGeneratorOptions(request)),
       series_(std::make_unique<series::CumulativeSeries>(initial)),
       eval_(std::make_unique<core::ConfidenceEvaluator>(series_.get(),
                                                         request.model)) {
-  // Sequential mirror of DiscoverTableau's options copy: the delta paths
-  // run per-anchor O(1) resumes, which do not shard.
-  gen_options_.type = request.type;
-  gen_options_.c_hat = request.c_hat;
-  gen_options_.epsilon = request.epsilon;
-  gen_options_.delta_mode = request.delta_mode;
-  gen_options_.stop_on_full_cover = false;
-  gen_options_.largest_first_early_exit = request.largest_first_early_exit;
+  // The delta paths run per-anchor O(1) resumes, which do not shard, and
+  // Create rejects stop_on_full_cover.
   gen_options_.num_threads = 1;
+  gen_options_.stop_on_full_cover = false;
   credit_fail_ = request.type == core::TableauType::kFail &&
                  request.model == core::ConfidenceModel::kCredit;
   fail_type_ = request.type == core::TableauType::kFail;
@@ -191,15 +188,7 @@ void IncrementalDiscoverer::ProcessBatch(
   }
 
   ++stats_.batches;
-  if (append_only_) {
-    // Deferred-cover mode: the cover reads only the candidate store, which
-    // now carries this batch's full delta, so any later RefreshCover()
-    // produces the tableau a per-batch refresh would have.
-    cover_stale_ = true;
-  } else {
-    RunCover();
-    cover_stale_ = false;
-  }
+  RunCover();
 
   IncrMetrics& metrics = IncrMetrics::Get();
   metrics.batches.Increment();
@@ -211,14 +200,6 @@ void IncrementalDiscoverer::ProcessBatch(
       static_cast<uint64_t>(stats_.full_rebuilds - before.full_rebuilds));
   metrics.dirty_anchors.Add(
       static_cast<uint64_t>(stats_.dirty_anchors - before.dirty_anchors));
-}
-
-const core::Tableau& IncrementalDiscoverer::RefreshCover() {
-  if (cover_stale_) {
-    RunCover();
-    cover_stale_ = false;
-  }
-  return tableau_;
 }
 
 void IncrementalDiscoverer::ResetAllAnchorStates() {
@@ -242,9 +223,7 @@ void IncrementalDiscoverer::GrowStateArrays(int64_t n) {
     default:
       break;  // NAB keeps no per-anchor resume state
   }
-  cand_valid_.resize(size, 0);
-  cand_begin_.resize(size, 0);
-  cand_end_.resize(size, 0);
+  cand_other_.resize(size, 0);
   cand_conf_.resize(size, 0.0);
 }
 
@@ -291,7 +270,7 @@ void IncrementalDiscoverer::ProcessAreaBased(
     if (st.stage == AbState::kExhausted && st.level >= num_thresholds) {
       // Ladder fully consumed and no new levels appeared: the candidate is
       // exactly the settled fold. No version bump happens below.
-      UpdateCandidate(i, st.best_j >= i, i, st.best_j, st.best_conf);
+      UpdateCandidate(i, st.best_j, st.best_conf);
       continue;
     }
 
@@ -386,7 +365,7 @@ void IncrementalDiscoverer::ProcessAreaBased(
     if (tent_at_n) {
       FoldRelaxedTest(kernel, gen_options_, n, &cj, &cc);
     }
-    UpdateCandidate(i, cj >= i, i, cj, cc);
+    UpdateCandidate(i, cj, cc);
   }
 }
 
@@ -411,25 +390,22 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
     double cc = st.best_conf;
     walk.FoldLongestQualifying(tentative, abopt_scratch_.breakpoints.size(),
                                &cj, &cc);
-    UpdateCandidate(i, cj >= i, i, cj, cc);
+    UpdateCandidate(i, cj, cc);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Exhaustive: every confidence test settles the batch it runs in, so old
-// clean anchors scan only the appended suffix (old_n, n]. The fresh
-// generator's per-block reverse scan + cross-block overwrite computes the
-// largest qualifying j regardless of block boundaries, so resuming at
-// old_n + 1 with re-based blocks folds identically.
+// clean anchors scan only the appended suffix (old_n, n]. The generator's
+// scan (interval::internal::ScanLastQualifying) finds the largest
+// qualifying j regardless of block boundaries, so resuming it at old_n + 1
+// with re-based blocks folds identically.
 // ---------------------------------------------------------------------------
 void IncrementalDiscoverer::ProcessExhaustive(
     const series::CumulativeSeries::AppendResult& delta, int64_t dirty_begin) {
   const int64_t n = series_->n();
   const int64_t old_n = delta.old_n;
   ConfidenceKernel kernel(*eval_, gen_options_.type);
-  constexpr int64_t kBatch = 512;
-  double conf[kBatch];
-  uint8_t valid[kBatch];
   for (int64_t i = 1; i <= n; ++i) {
     ExhState& st = exh_[static_cast<size_t>(i)];
     int64_t scan_from;
@@ -440,19 +416,9 @@ void IncrementalDiscoverer::ProcessExhaustive(
       scan_from = old_n + 1;
     }
     kernel.BeginAnchor(i);
-    for (int64_t j0 = scan_from; j0 <= n; j0 += kBatch) {
-      const int64_t j1 = std::min<int64_t>(n, j0 + kBatch - 1);
-      kernel.ConfidenceBatch(j0, j1, conf, valid);
-      for (int64_t k = j1 - j0; k >= 0; --k) {
-        if (valid[k] &&
-            interval::PassesExactThreshold(conf[k], gen_options_)) {
-          st.best_j = j0 + k;
-          st.best_conf = conf[k];
-          break;
-        }
-      }
-    }
-    UpdateCandidate(i, st.best_j >= i, i, st.best_j, st.best_conf);
+    interval::internal::ScanLastQualifying(kernel, gen_options_, scan_from, n,
+                                           &st.best_j, &st.best_conf);
+    UpdateCandidate(i, st.best_j, st.best_conf);
   }
 }
 
@@ -483,48 +449,44 @@ void IncrementalDiscoverer::ProcessNonAreaBased(
   for (int64_t j = old_n + 1; j <= n; ++j) {
     const auto [best_i, best_conf] = interval::internal::ProbeRightAnchor(
         j, lengths, gen_options_, &kernel, &scratch, &tested, &batches);
-    UpdateCandidate(j, best_i >= 1, best_i, j, best_conf);
+    UpdateCandidate(j, best_i, best_conf);
   }
 }
 
-void IncrementalDiscoverer::UpdateCandidate(int64_t anchor, bool valid,
-                                            int64_t begin, int64_t end,
+void IncrementalDiscoverer::UpdateCandidate(int64_t anchor, int64_t other,
                                             double conf) {
   const size_t a = static_cast<size_t>(anchor);
-  const bool was_valid = cand_valid_[a] != 0;
-  if (valid == was_valid &&
-      (!valid || (cand_begin_[a] == begin && cand_end_[a] == end))) {
-    // Same interval — but a dirty re-walk can recompute the same (i, j)
-    // under moved credit/debit baselines, so the confidence still tracks.
-    if (valid) cand_conf_[a] = conf;
-    return;
+  // On the same interval a dirty re-walk can still recompute the confidence
+  // under moved credit/debit baselines, so it is stored either way.
+  if (cand_other_[a] != other) {
+    cand_other_[a] = other;
+    ++stats_.candidates_extended;
   }
-  cand_valid_[a] = valid ? 1 : 0;
-  cand_begin_[a] = begin;
-  cand_end_[a] = end;
   cand_conf_[a] = conf;
-  ++stats_.candidates_extended;
 }
 
 void IncrementalDiscoverer::RunCover() {
+  util::Stopwatch cover_timer;
   const int64_t n = series_->n();
+  const bool right_anchored =
+      request_.algorithm == interval::AlgorithmKind::kNonAreaBased ||
+      request_.algorithm == interval::AlgorithmKind::kNonAreaBasedOpt;
   // Store order is anchor order: ByPosition for the left-anchored
   // generators, end order for NAB. The cover's picks are the same for
   // either, since the candidates are pairwise distinct.
-  // Sized up front: growing it by doubling on every refresh can leave the
+  // Sized up front: growing it by doubling on every batch can leave the
   // allocator returning and re-faulting its pages each time.
   std::vector<interval::Interval> intervals;
   intervals.reserve(static_cast<size_t>(
-      std::count(cand_valid_.begin() + 1, cand_valid_.end(), uint8_t{1})));
+      n - std::count(cand_other_.begin() + 1, cand_other_.end(), 0)));
   for (int64_t anchor = 1; anchor <= n; ++anchor) {
-    const size_t a = static_cast<size_t>(anchor);
-    if (cand_valid_[a] != 0) {
-      intervals.push_back(interval::Interval{cand_begin_[a], cand_end_[a]});
-    }
+    const int64_t other = cand_other_[static_cast<size_t>(anchor)];
+    if (other == 0) continue;
+    intervals.push_back(right_anchored ? interval::Interval{other, anchor}
+                                       : interval::Interval{anchor, other});
   }
   cover::CoverOptions options;
   options.s_hat = request_.s_hat;
-  util::Stopwatch cover_timer;
   const cover::CoverResult cover =
       cover::GreedyPartialSetCover(intervals, n, options);
   tableau_.cover_seconds = cover_timer.ElapsedSeconds();
@@ -537,9 +499,6 @@ void IncrementalDiscoverer::RunCover() {
   tableau_.support_satisfied = cover.satisfied;
   tableau_.rows.clear();
   tableau_.rows.reserve(cover.chosen.size());
-  const bool right_anchored =
-      request_.algorithm == interval::AlgorithmKind::kNonAreaBased ||
-      request_.algorithm == interval::AlgorithmKind::kNonAreaBasedOpt;
   for (const interval::Interval& iv : cover.chosen) {
     const int64_t anchor = right_anchored ? iv.end : iv.begin;
     tableau_.rows.push_back(

@@ -20,7 +20,7 @@
 //   * NAB/NAB-opt candidates for old right anchors are exactly unchanged
 //     (their length schedule prefix and left-anchor probes are independent
 //     of n), so only the m new anchors walk at all.
-//   * The cover is NOT incremental: every refresh hands the live candidates
+//   * The cover is NOT incremental: every batch hands the live candidates
 //     of the store to cover::GreedyPartialSetCover, the same call
 //     DiscoverTableau makes. Candidates are pairwise distinct, so the
 //     cover's (gain desc, ByPosition asc) order is strict and its picks do
@@ -76,7 +76,7 @@ struct IncrStats {
   // Anchors whose stored candidate (validity or interval) changed this
   // lifetime.
   int64_t candidates_extended = 0;
-  // cover.heap_pops of the shared cover, summed over every cover refresh
+  // cover.heap_pops of the shared cover, summed over every batch's cover
   // (the name predates the shared cover and is kept for its readers).
   int64_t cover_warm_pops = 0;
   // Whole-state resets (Delta decreased under kMinPositiveCount).
@@ -102,22 +102,6 @@ class IncrementalDiscoverer {
                                    int64_t m);
   const core::Tableau& AppendBatch(const std::vector<double>& a,
                                    const std::vector<double>& b);
-
-  // Append-only mode (off by default): AppendBatch maintains the per-anchor
-  // candidate state but defers the cover — the expensive per-batch tail for
-  // small batches — until RefreshCover(). Between refreshes tableau() is the
-  // last refreshed snapshot (stale by construction); at every refresh point
-  // the tableau is bit-identical to what non-deferred maintenance (and
-  // hence from-scratch discovery) would produce, because the cover reads
-  // only the candidate store. Built for the serving daemon, which pays
-  // cover on a periodic scheduler tick instead of on every small batch.
-  void SetAppendOnly(bool append_only) { append_only_ = append_only; }
-  bool append_only() const { return append_only_; }
-  // True when batches were applied since the last cover refresh.
-  bool cover_stale() const { return cover_stale_; }
-  // Brings the tableau up to date with every applied batch; no-op when the
-  // cover is already fresh. Returns the refreshed tableau.
-  const core::Tableau& RefreshCover();
 
   const core::Tableau& tableau() const { return tableau_; }
   const series::CumulativeSeries& series() const { return *series_; }
@@ -166,9 +150,9 @@ class IncrementalDiscoverer {
   void ProcessNonAreaBased(
       const series::CumulativeSeries::AppendResult& delta);
 
-  // Stores anchor's candidate for this batch ((0,0) j/i == no candidate).
-  void UpdateCandidate(int64_t anchor, bool valid, int64_t begin, int64_t end,
-                       double conf);
+  // Stores anchor's candidate for this batch: `other` is the interval end
+  // that is not the anchor, 0 for no candidate.
+  void UpdateCandidate(int64_t anchor, int64_t other, double conf);
 
   // Runs the shared cover over the live candidates and rebuilds tableau_.
   void RunCover();
@@ -183,8 +167,6 @@ class IncrementalDiscoverer {
   double prev_delta_ = 0.0;
   bool credit_fail_ = false;
   bool fail_type_ = false;
-  bool append_only_ = false;
-  bool cover_stale_ = false;
 
   // 1-based per-anchor state (index 0 unused); only the request's
   // algorithm's vector is populated.
@@ -196,10 +178,9 @@ class IncrementalDiscoverer {
   std::vector<ExhState> exh_;
 
   // 1-based per-anchor candidate store. For left-anchored algorithms the
-  // anchor is the interval begin; for NAB it is the end.
-  std::vector<uint8_t> cand_valid_;
-  std::vector<int64_t> cand_begin_;
-  std::vector<int64_t> cand_end_;
+  // anchor is the interval begin and cand_other_ its end; for NAB the
+  // anchor is the end and cand_other_ its begin. 0 means no candidate.
+  std::vector<int64_t> cand_other_;
   std::vector<double> cand_conf_;
 
   core::Tableau tableau_;

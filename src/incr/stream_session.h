@@ -46,9 +46,7 @@ class StreamSession {
 
   // Ingests one batch: tick-by-tick into the monitor (episodes fire
   // in-line), one append into the discoverer. Returns the discoverer's
-  // tableau: up to date, unless the discoverer defers its cover
-  // (IncrementalDiscoverer::SetAppendOnly), in which case it is the last
-  // refreshed snapshot until RefreshCover().
+  // up-to-date tableau.
   const core::Tableau& ObserveBatch(const double* a, const double* b,
                                     int64_t m);
   const core::Tableau& ObserveBatch(const std::vector<double>& a,

@@ -7,23 +7,44 @@
 
 namespace conservation::interval {
 
+namespace internal {
+
+uint64_t ScanLastQualifying(const ConfidenceKernel& kernel,
+                            const GeneratorOptions& options, int64_t from,
+                            int64_t n, int64_t* best_j, double* best_conf) {
+  constexpr int64_t kBatch = 512;
+  double conf[kBatch];
+  uint8_t valid[kBatch];
+  uint64_t batches = 0;
+  for (int64_t j0 = from; j0 <= n; j0 += kBatch) {
+    const int64_t j1 = std::min<int64_t>(n, j0 + kBatch - 1);
+    kernel.ConfidenceBatch(j0, j1, conf, valid);
+    ++batches;
+    for (int64_t k = j1 - j0; k >= 0; --k) {
+      if (valid[k] && PassesExactThreshold(conf[k], options)) {
+        *best_j = j0 + k;
+        *best_conf = conf[k];
+        break;
+      }
+    }
+  }
+  return batches;
+}
+
+}  // namespace internal
+
 std::vector<Candidate> ExhaustiveGenerator::GenerateCandidates(
     const core::ConfidenceEvaluator& eval, const GeneratorOptions& options,
     GeneratorStats* stats) const {
   const int64_t n = eval.n();
 
   // The dense endpoint sweep [i, n] is the ideal batch-kernel shape:
-  // contiguous endpoints, no early exit, every j logically tested. Each
-  // anchor sweeps in kBatch-wide ConfidenceBatch blocks, then scans the
-  // block backwards for its last qualifying endpoint — same winner as the
-  // scalar forward scan (last qualifying j overall), and the carried
-  // confidence is bit-identical to eval.Confidence by the kernel contract.
+  // contiguous endpoints, no early exit, every j logically tested. The
+  // carried confidence is bit-identical to eval.Confidence by the kernel
+  // contract.
   auto block = [&eval, &options, n](int64_t i_begin, int64_t i_end,
                                     GeneratorStats* shard_stats) {
     internal::ConfidenceKernel kernel(eval, options.type);
-    constexpr int64_t kBatch = 512;
-    double conf[kBatch];
-    uint8_t valid[kBatch];
     std::vector<Candidate> out;
     uint64_t tested = 0;
     uint64_t batches = 0;
@@ -31,18 +52,8 @@ std::vector<Candidate> ExhaustiveGenerator::GenerateCandidates(
       kernel.BeginAnchor(i);
       int64_t best_j = 0;
       double best_conf = 0.0;
-      for (int64_t j0 = i; j0 <= n; j0 += kBatch) {
-        const int64_t j1 = std::min<int64_t>(n, j0 + kBatch - 1);
-        kernel.ConfidenceBatch(j0, j1, conf, valid);
-        ++batches;
-        for (int64_t k = j1 - j0; k >= 0; --k) {
-          if (valid[k] && PassesExactThreshold(conf[k], options)) {
-            best_j = j0 + k;
-            best_conf = conf[k];
-            break;
-          }
-        }
-      }
+      batches += internal::ScanLastQualifying(kernel, options, i, n, &best_j,
+                                              &best_conf);
       tested += static_cast<uint64_t>(n - i + 1);
       if (best_j >= i) {
         out.push_back(Candidate{Interval{i, best_j}, best_conf});

@@ -9,6 +9,7 @@
 #ifndef CONSERVATION_INTERVAL_EXHAUSTIVE_H_
 #define CONSERVATION_INTERVAL_EXHAUSTIVE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "interval/generator.h"
@@ -23,6 +24,23 @@ class ExhaustiveGenerator : public CandidateGenerator {
 
   AlgorithmKind kind() const override { return AlgorithmKind::kExhaustive; }
 };
+
+namespace internal {
+
+class ConfidenceKernel;
+
+// Scans the kernel's current anchor over the endpoints [from, n] in
+// ConfidenceBatch blocks, each read backwards for its last qualifying
+// endpoint; a later block's hit overwrites an earlier one's, so
+// (*best_j, *best_conf) ends at the largest qualifying j in [from, n] and is
+// untouched when none qualifies. Returns the ConfidenceBatch calls made.
+// Shared by ExhaustiveGenerator and the incremental engine, which resumes
+// an old anchor at from = old_n + 1.
+uint64_t ScanLastQualifying(const ConfidenceKernel& kernel,
+                            const GeneratorOptions& options, int64_t from,
+                            int64_t n, int64_t* best_j, double* best_conf);
+
+}  // namespace internal
 
 }  // namespace conservation::interval
 

@@ -404,19 +404,13 @@ void ServeDaemon::ProcessTenant(uint64_t tenant_id) {
   metrics.dispatch_ticks.Record(static_cast<double>(m));
   metrics.batches_dispatched.Increment();
   metrics.ticks_processed.Add(static_cast<uint64_t>(m));
-
-  // Still pinned: refresh before the pin can clear, so a hot tenant that is
-  // not in flight always has a fresh tableau.
-  timer.Restart();
-  bool refreshed = false;
-  {
-    obs::ScopedSpan span("serve.cover_refresh");
-    obs::ScopedDeadline deadline("serve.cover_refresh",
-                                 options_.dispatch_budget_seconds);
-    refreshed = registry_.RefreshCover(*tenant);
-  }
+  // Every append (and every fault-up) ends with the session's cover, so a
+  // dispatch that leaves a session refreshed its tableau; the cover's share
+  // of the apply is reported on its own.
+  const bool refreshed = tenant->session != nullptr;
   if (refreshed) {
-    metrics.cover_refresh_seconds.Record(timer.ElapsedSeconds());
+    metrics.cover_refresh_seconds.Record(
+        tenant->session->tableau().cover_seconds);
     metrics.cover_refreshes.Increment();
   }
 

@@ -16,18 +16,16 @@
 //             util::ThreadPool. ProcessTenant swaps the tenant's pending
 //             queue out under the mutex, applies it to the stream session
 //             OUTSIDE the mutex (the batch append is the dominant cost),
-//             refreshes the session's cover, then either resubmits itself
-//             (more ticks arrived meanwhile) or clears in_flight.
-//             Per-tenant ordering is the in_flight flag; cross-tenant
-//             parallelism is the pool. The apply and the refresh each run
+//             then either resubmits itself (more ticks arrived meanwhile)
+//             or clears in_flight. Per-tenant ordering is the in_flight
+//             flag; cross-tenant parallelism is the pool. The apply runs
 //             under an obs::ScopedDeadline so a wedged tenant trips the
 //             watchdog.
 //
-//   refresh   Sessions defer cover maintenance (incr/incremental.h
-//             SetAppendOnly), so the apply stays cheap; the worker that
-//             applied a batch refreshes the cover once before it releases
-//             the pin. Invariant: a hot tenant that is not in flight
-//             always has a fresh tableau.
+//   refresh   Every append re-runs the session's cover (incr/incremental.h),
+//             so the apply leaves a fresh tableau; the cover's share of it
+//             is recorded as serve.cover_refresh_seconds. Invariant: a hot
+//             tenant that is not in flight always has a fresh tableau.
 //
 //   evict     With a hot-tenant bound (TenantConfig::max_hot), a sweep
 //             thread evicts least-recently-dispatched idle sessions every
@@ -140,7 +138,7 @@ class ServeDaemon {
   // mu_ held.
   void AdmitAppendLocked(const AppendFrame& append, AckFrame* ack);
   // Dispatched on the shared pool; owns the tenant via in_flight. Applies
-  // the pending batch, then refreshes the cover.
+  // the pending batch, which refreshes the cover.
   void ProcessTenant(uint64_t tenant_id);
   void EvictSweep();
   void UpdateQueueGauges();  // mu_ held

@@ -136,18 +136,9 @@ bool TenantRegistry::FaultUp(Tenant& tenant, const std::vector<double>& a,
   CR_CHECK(session.ok());
   tenant.session =
       std::make_unique<incr::StreamSession>(std::move(session).value());
-  tenant.session->discoverer().SetAppendOnly(true);
   hot_count_.fetch_add(1, std::memory_order_relaxed);
   faults_.fetch_add(1, std::memory_order_relaxed);
   FaultCounter().Increment();
-  return true;
-}
-
-bool TenantRegistry::RefreshCover(Tenant& tenant) {
-  if (tenant.session == nullptr) return false;
-  incr::IncrementalDiscoverer& discoverer = tenant.session->discoverer();
-  if (!discoverer.cover_stale()) return false;
-  discoverer.RefreshCover();
   return true;
 }
 

@@ -13,9 +13,8 @@
 //   * the pending queue: accepted-but-unapplied ticks awaiting a
 //     scheduler dispatch;
 //   * the HOT state, when resident: a StreamSession (incremental
-//     discoverer + streaming monitor) over the full raw log, running in
-//     append-only mode so the batches one dispatch applies defer their
-//     cover work to one RefreshCover at the end of that dispatch;
+//     discoverer + streaming monitor) over the full raw log, whose
+//     tableau every applied batch leaves fresh;
 //   * the COLD state, after eviction: no session, only the raw log and
 //     the dominance filter. Fault-up rebuilds the session from the raw
 //     log; by the incremental engine's exactness contract the refreshed
@@ -25,7 +24,7 @@
 // Thread-safety: NONE — the registry is a plain data structure. The daemon
 // (serve/daemon.h) serializes all access under its own mutex and uses the
 // in_flight flag to pin a tenant while a dispatched batch runs outside the
-// lock (ApplyBatch, then RefreshCover). Eviction skips in-flight tenants
+// lock (ApplyBatch). Eviction skips in-flight tenants
 // for the same reason.
 
 #ifndef CONSERVATION_SERVE_TENANT_REGISTRY_H_
@@ -89,9 +88,9 @@ struct TenantConfig {
   // constructed.
   core::TableauRequest request;
   stream::StreamOptions stream;
-  // Unread: sessions always defer their cover to RefreshCover
-  // (incr/incremental.h SetAppendOnly). Like GeneratorStats::anchors_pruned
-  // and LaneOccupancy() (interval/generator.h), it stays only because the
+  // Unread: every applied batch refreshes the session's cover
+  // (incr/incremental.h). Like GeneratorStats::anchors_pruned and
+  // LaneOccupancy() (interval/generator.h), it stays only because the
   // frozen benchmark harness (perfbench/perfbench.cc) assigns it.
   bool append_only = true;
   // Label each tenant's monitor metrics ({tenant=...} children). Off by
@@ -161,7 +160,7 @@ class TenantRegistry {
   //   * ApplyBatch (call UNLOCKED, tenant pinned via in_flight) feeds the
   //     snapshot to the session, creating it first on the fault path. Only
   //     tenant.session is touched — a field readers never access. The
-  //     cover stays stale until RefreshCover.
+  //     session's tableau is fresh when it returns.
   int64_t PrepareDispatch(Tenant& tenant, std::vector<double>* a,
                           std::vector<double>* b, bool* fault);
   void ApplyBatch(Tenant& tenant, bool fault, const std::vector<double>& a,
@@ -170,10 +169,10 @@ class TenantRegistry {
   // Convenience for single-threaded callers (tests): Prepare + Apply.
   int64_t ApplyPending(Tenant& tenant);
 
-  // Refreshes the deferred cover of a hot tenant whose discoverer reports
-  // cover_stale(); no-op otherwise. Call unlocked with the tenant pinned.
-  // Returns true when a refresh ran.
-  bool RefreshCover(Tenant& tenant);
+  // Unused: ApplyBatch leaves every session's tableau fresh, so this
+  // returns false. Like TenantConfig::append_only, it stays only because
+  // the frozen benchmark harness (perfbench/perfbench.cc) calls it.
+  bool RefreshCover(Tenant&) { return false; }
 
   // Demotes the tenant to cold: drops the session (the raw log stays for
   // fault-up, which rebuilds the tableau). Call unlocked with the tenant

@@ -349,94 +349,5 @@ TEST(StreamSession, FeedsBothPlanesAndMatchesFreshDiscovery) {
   ExpectSameTableau(session->tableau(), fresh.value(), " stream-session");
 }
 
-// Append-only mode defers heap maintenance and cover selection to
-// RefreshCover; at every refresh point the tableau must be bit-identical
-// to from-scratch discovery — regardless of how many batches accumulated
-// between refreshes.
-TEST(AppendOnlyMode, RefreshPointsMatchFreshDiscovery) {
-  const int64_t total_n = 160;
-  const int64_t initial_n = 30;
-  const series::CountSequence counts =
-      testing_util::RandomDominatedCounts(/*seed=*/77, total_n);
-
-  for (const AlgorithmKind kind :
-       {AlgorithmKind::kAreaBased, AlgorithmKind::kAreaBasedOpt,
-        AlgorithmKind::kNonAreaBased, AlgorithmKind::kExhaustive}) {
-    TableauRequest request;
-    request.algorithm = kind;
-    request.type = TableauType::kFail;
-    request.c_hat = 0.6;
-    request.s_hat = 0.1;
-    request.epsilon = 0.05;
-
-    auto discoverer =
-        IncrementalDiscoverer::Create(counts.Prefix(initial_n), request);
-    ASSERT_TRUE(discoverer.ok()) << discoverer.status().message();
-    discoverer->SetAppendOnly(true);
-    EXPECT_FALSE(discoverer->cover_stale());  // Create refreshed eagerly
-
-    const std::vector<double>& a = counts.outbound();
-    const std::vector<double>& b = counts.inbound();
-    int64_t at = initial_n;
-    int64_t batch = 7;  // varying batch sizes between refresh points
-    while (at < total_n) {
-      // Several deferred appends per refresh point.
-      for (int i = 0; i < 3 && at < total_n; ++i, batch += 3) {
-        const int64_t m = std::min<int64_t>(batch, total_n - at);
-        discoverer->AppendBatch(a.data() + at, b.data() + at, m);
-        at += m;
-        EXPECT_TRUE(discoverer->cover_stale());
-      }
-      const Tableau& refreshed = discoverer->RefreshCover();
-      EXPECT_FALSE(discoverer->cover_stale());
-
-      const series::CumulativeSeries cumulative(counts.Prefix(at));
-      const core::ConfidenceEvaluator eval(&cumulative, request.model);
-      const auto fresh = core::DiscoverTableau(eval, request);
-      ASSERT_TRUE(fresh.ok()) << fresh.status().message();
-      ExpectSameTableau(refreshed, fresh.value(),
-                        " append-only n=" + std::to_string(at) + " alg=" +
-                            std::to_string(static_cast<int>(kind)));
-      if (::testing::Test::HasFailure()) return;
-    }
-    // RefreshCover on a fresh cover is a no-op.
-    const Tableau& again = discoverer->RefreshCover();
-    EXPECT_EQ(&again, &discoverer->tableau());
-  }
-}
-
-// Toggling append-only off mid-stream resumes eager per-batch maintenance
-// (the serving daemon's --append_only=false path).
-TEST(AppendOnlyMode, ToggleBackToEagerMatchesFreshDiscovery) {
-  const int64_t total_n = 100;
-  const series::CountSequence counts =
-      testing_util::RandomDominatedCounts(/*seed=*/91, total_n);
-
-  TableauRequest request;
-  request.algorithm = AlgorithmKind::kAreaBasedOpt;
-  request.type = TableauType::kHold;
-  request.c_hat = 0.7;
-  request.s_hat = 0.2;
-
-  auto discoverer = IncrementalDiscoverer::Create(counts.Prefix(40), request);
-  ASSERT_TRUE(discoverer.ok()) << discoverer.status().message();
-  discoverer->SetAppendOnly(true);
-  const std::vector<double>& a = counts.outbound();
-  const std::vector<double>& b = counts.inbound();
-  discoverer->AppendBatch(a.data() + 40, b.data() + 40, 30);
-  EXPECT_TRUE(discoverer->cover_stale());
-  discoverer->RefreshCover();
-
-  discoverer->SetAppendOnly(false);
-  discoverer->AppendBatch(a.data() + 70, b.data() + 70, 30);
-  EXPECT_FALSE(discoverer->cover_stale());  // eager again
-
-  const series::CumulativeSeries cumulative(counts);
-  const core::ConfidenceEvaluator eval(&cumulative, request.model);
-  const auto fresh = core::DiscoverTableau(eval, request);
-  ASSERT_TRUE(fresh.ok());
-  ExpectSameTableau(discoverer->tableau(), fresh.value(), " toggle-eager");
-}
-
 }  // namespace
 }  // namespace conservation

@@ -16,12 +16,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/confidence.h"
 #include "core/model.h"
+#include "interval/exhaustive.h"
 #include "interval/generator.h"
 #include "interval/kernel.h"
 #include "interval/kernel_simd.h"
@@ -40,6 +42,7 @@ using interval::GeneratorOptions;
 using interval::GeneratorStats;
 using interval::internal::ActiveSimdBackend;
 using interval::internal::ConfidenceKernel;
+using interval::internal::ScanLastQualifying;
 using interval::internal::SetSimdBackendForTest;
 using interval::internal::SimdBackend;
 using interval::internal::SimdBackendName;
@@ -436,6 +439,96 @@ TEST(EndpointSearch, KernelSearchMatchesLinearScanOverSparseArea) {
       }
     }
   }
+}
+
+// --- The shared exhaustive scan: ScanLastQualifying vs a scalar scan -----
+
+// Largest j in [from, n] whose scalar confidence passes the exact threshold,
+// or 0 when none does.
+int64_t ScalarLastQualifying(const ConfidenceEvaluator& eval,
+                             const GeneratorOptions& options, int64_t i,
+                             int64_t from, int64_t n, double* conf) {
+  for (int64_t j = n; j >= from; --j) {
+    const std::optional<double> c = eval.Confidence(i, j);
+    if (c.has_value() && interval::PassesExactThreshold(*c, options)) {
+      *conf = *c;
+      return j;
+    }
+  }
+  return 0;
+}
+
+TEST(ExhaustiveScan, MatchesScalarLastQualifyingFromAnyStart) {
+  // n spans three 512-wide blocks, so hits in an earlier block are
+  // overwritten by later ones and a start just before or on a block
+  // boundary shifts every block.
+  const int64_t n = 1100;
+  for (const std::string& family : kFamilies) {
+    const series::CountSequence counts = MakeFamily(family, n);
+    const series::CumulativeSeries cumulative(counts);
+    for (const ConfidenceModel model : kModels) {
+      const ConfidenceEvaluator eval(&cumulative, model);
+      for (const TableauType type : kTypes) {
+        for (const double c_hat : {0.3, 0.7, 0.95}) {
+          GeneratorOptions options;
+          options.type = type;
+          options.c_hat = c_hat;
+          ConfidenceKernel kernel(eval, type);
+          SCOPED_TRACE(family + " " + core::ConfidenceModelName(model) + " " +
+                       core::TableauTypeName(type) +
+                       " c_hat=" + std::to_string(c_hat));
+          for (int64_t i = 1; i <= n; i += 37) {
+            kernel.BeginAnchor(i);
+            for (const int64_t from :
+                 {i, i + 1, i + 511, i + 512, (i + n) / 2, n}) {
+              if (from > n) continue;
+              double want_conf = 0.0;
+              const int64_t want_j =
+                  ScalarLastQualifying(eval, options, i, from, n, &want_conf);
+              int64_t best_j = 0;
+              double best_conf = 0.0;
+              const uint64_t batches = ScanLastQualifying(
+                  kernel, options, from, n, &best_j, &best_conf);
+              ASSERT_EQ(best_j, want_j) << "i=" << i << " from=" << from;
+              if (want_j != 0) {
+                ASSERT_EQ(Bits(best_conf), Bits(want_conf))
+                    << "i=" << i << " from=" << from;
+              }
+              EXPECT_EQ(batches, static_cast<uint64_t>((n - from) / 512 + 1))
+                  << "i=" << i << " from=" << from;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ExhaustiveScan, LeavesBestUntouchedWhenNothingQualifies) {
+  const int64_t n = 600;
+  const series::CountSequence counts = MakeFamily("random", n);
+  const series::CumulativeSeries cumulative(counts);
+  const ConfidenceEvaluator eval(&cumulative, ConfidenceModel::kBalance);
+  GeneratorOptions options;
+  options.type = TableauType::kHold;
+  // No confidence exceeds 1, so a threshold above it admits nothing.
+  options.c_hat = 1.5;
+  ConfidenceKernel kernel(eval, options.type);
+  kernel.BeginAnchor(3);
+  int64_t best_j = -7;
+  double best_conf = 42.0;
+  EXPECT_EQ(ScanLastQualifying(kernel, options, 3, n, &best_j, &best_conf),
+            2u);
+  EXPECT_EQ(best_j, -7);
+  EXPECT_EQ(best_conf, 42.0);
+
+  // A start past n (an anchor resumed with no new endpoints) makes no
+  // ConfidenceBatch call.
+  options.c_hat = 0.0;
+  EXPECT_EQ(ScanLastQualifying(kernel, options, n + 1, n, &best_j, &best_conf),
+            0u);
+  EXPECT_EQ(best_j, -7);
+  EXPECT_EQ(best_conf, 42.0);
 }
 
 }  // namespace

@@ -245,7 +245,6 @@ TEST(ServeDaemon, ProtocolOverSocketMatchesFreshDiscovery) {
   serve::Tenant* tenant = daemon.registry().Find(7);
   ASSERT_NE(tenant, nullptr);
   ASSERT_NE(tenant->session, nullptr);
-  daemon.registry().RefreshCover(*tenant);
 
   const series::CumulativeSeries cumulative(counts);
   const core::ConfidenceEvaluator eval(&cumulative,
@@ -349,7 +348,6 @@ TEST(ServeDaemon, InvalidCountsRejectedPerFrame) {
   serve::Tenant* tenant = daemon.registry().Find(7);
   ASSERT_NE(tenant, nullptr);
   ASSERT_NE(tenant->session, nullptr);
-  daemon.registry().RefreshCover(*tenant);
   const series::CumulativeSeries cumulative(counts);
   const core::ConfidenceEvaluator eval(&cumulative,
                                        core::ConfidenceModel::kBalance);
@@ -412,7 +410,6 @@ TEST(TenantRegistry, EnqueueRefusesInvalidCountsWithoutSideEffects) {
   ASSERT_TRUE(registry.Enqueue(tenant, a.data() + 32, b.data() + 32, 32).ok());
   EXPECT_EQ(registry.ApplyPending(tenant), 32);
   ASSERT_NE(tenant.session, nullptr);
-  registry.RefreshCover(tenant);
   const series::CumulativeSeries cumulative(counts);
   const core::ConfidenceEvaluator eval(&cumulative,
                                        core::ConfidenceModel::kBalance);
@@ -463,7 +460,6 @@ TEST(ServeDaemon, EvictionAndRefaultPreserveTableauBitwise) {
   ASSERT_EQ(ack->status, AckStatus::kOk);
   daemon.DrainQueues();
   ASSERT_NE(tenant->session, nullptr);  // faulted back up
-  daemon.registry().RefreshCover(*tenant);
 
   const series::CumulativeSeries cumulative(counts);
   const core::ConfidenceEvaluator eval(&cumulative, config.request.model);
@@ -498,19 +494,14 @@ TEST(ServeDaemon, StopDrainsEverythingAccepted) {
   EXPECT_EQ(stats.ticks_processed, accepted_ticks);
   for (auto& [id, tenant] : daemon.registry().tenants()) {
     EXPECT_TRUE(tenant->pend_a.empty()) << "tenant " << id;
-    if (tenant->session != nullptr) {
-      EXPECT_FALSE(tenant->session->discoverer().cover_stale())
-          << "tenant " << id;
-    }
   }
 }
 
-// The worker that applies a batch refreshes the tenant's cover before it
-// releases the pin, so once DrainQueues returns every hot tableau is fresh
-// with no RefreshCover call and no sweep thread (refresh_ms = 0). Each
-// tenant faults up on its first append (Create builds the cover eagerly)
-// and defers the cover on its second, which its dispatch then refreshes:
-// one refresh per tenant, each timed in serve.cover_refresh_seconds.
+// Every apply re-runs the tenant's cover before the worker releases the
+// pin, so once DrainQueues returns every hot tableau is fresh with no sweep
+// thread (refresh_ms = 0). Each tenant faults up on its first append and
+// appends to its session on its second: every one of those dispatches
+// counts one refresh and records one serve.cover_refresh_seconds sample.
 TEST(ServeDaemon, TableauFreshWhenDispatchFinishes) {
   serve::DaemonOptions options;
   options.refresh_ms = 0;
@@ -535,8 +526,10 @@ TEST(ServeDaemon, TableauFreshWhenDispatchFinishes) {
     }
     daemon.DrainQueues();
   };
-  append_half(0);  // fault-up: nothing to refresh
+  append_half(0);  // fault-up: Create runs the cover
   if (HasFatalFailure()) return;
+  EXPECT_EQ(daemon.Stats().batches_dispatched, kTenants);
+  EXPECT_EQ(daemon.Stats().cover_refreshes, kTenants);
   // Looked up only now that the dispatches have registered them, so the
   // bounds read below are the daemon's.
   obs::Registry& registry = obs::Registry::Global();
@@ -544,10 +537,10 @@ TEST(ServeDaemon, TableauFreshWhenDispatchFinishes) {
       registry.Histogram("serve.dispatch_batch_seconds", {});
   const obs::Histogram& refresh_seconds =
       registry.Histogram("serve.cover_refresh_seconds", {});
+  const uint64_t dispatched_before = dispatch_seconds.TotalCount();
   const uint64_t timed_before = refresh_seconds.TotalCount();
   const uint64_t counted_before =
       registry.Counter("serve.cover_refreshes").Value();
-  EXPECT_EQ(daemon.Stats().cover_refreshes, 0u);
   append_half(kTicks / 2);
   if (HasFatalFailure()) return;
 
@@ -555,7 +548,6 @@ TEST(ServeDaemon, TableauFreshWhenDispatchFinishes) {
     serve::Tenant* tenant = daemon.registry().Find(id + 1);
     ASSERT_NE(tenant, nullptr);
     ASSERT_NE(tenant->session, nullptr);
-    EXPECT_FALSE(tenant->session->discoverer().cover_stale()) << id;
     const series::CumulativeSeries cumulative(counts[id]);
     const core::ConfidenceEvaluator eval(&cumulative,
                                          core::ConfidenceModel::kBalance);
@@ -564,11 +556,13 @@ TEST(ServeDaemon, TableauFreshWhenDispatchFinishes) {
     ExpectSameTableau(tenant->session->tableau(), fresh.value(),
                       " fresh-at-drain tenant " + std::to_string(id));
   }
-  EXPECT_EQ(daemon.Stats().cover_refreshes, kTenants);
+  EXPECT_EQ(daemon.Stats().batches_dispatched, 2 * kTenants);
+  EXPECT_EQ(daemon.Stats().cover_refreshes, 2 * kTenants);
   EXPECT_EQ(registry.Counter("serve.cover_refreshes").Value() -
                 counted_before,
             kTenants);
   EXPECT_EQ(refresh_seconds.TotalCount() - timed_before, kTenants);
+  EXPECT_EQ(dispatch_seconds.TotalCount() - dispatched_before, kTenants);
   EXPECT_FALSE(refresh_seconds.bounds().empty());
   EXPECT_EQ(refresh_seconds.bounds(), dispatch_seconds.bounds());
   daemon.Stop();

@@ -47,6 +47,26 @@ TEST(TableauTest, RejectsBadThresholds) {
   }
 }
 
+TEST(TableauTest, ToGeneratorOptionsCopiesEveryGeneratorField) {
+  // Every field differs from its default, so a field the copy drops shows.
+  TableauRequest request;
+  request.type = TableauType::kFail;
+  request.c_hat = 0.37;
+  request.epsilon = 0.125;
+  request.delta_mode = interval::DeltaMode::kOne;
+  request.stop_on_full_cover = true;
+  request.largest_first_early_exit = true;
+  request.num_threads = 3;
+  const interval::GeneratorOptions options = ToGeneratorOptions(request);
+  EXPECT_EQ(options.type, TableauType::kFail);
+  EXPECT_EQ(options.c_hat, 0.37);
+  EXPECT_EQ(options.epsilon, 0.125);
+  EXPECT_EQ(options.delta_mode, interval::DeltaMode::kOne);
+  EXPECT_TRUE(options.stop_on_full_cover);
+  EXPECT_TRUE(options.largest_first_early_exit);
+  EXPECT_EQ(options.num_threads, 3);
+}
+
 TEST(TableauTest, RejectsNabWithNonBalanceModel) {
   const series::CountSequence counts =
       testing_util::RandomDominatedCounts(2, 30);

@@ -151,7 +151,6 @@ int main() {
       daemon.registry().ApplyPending(*tenant);  // fault up from the log
     }
     CR_CHECK(tenant->session != nullptr);
-    CR_CHECK(!tenant->session->discoverer().cover_stale());
     const core::Tableau& maintained = tenant->session->tableau();
 
     auto counts = series::CountSequence::Create(tenant->log_a, tenant->log_b);
