@@ -48,40 +48,6 @@ struct IncrMetrics {
   }
 };
 
-// One relaxed-threshold confidence test folded into a (best_j, best_conf)
-// accumulator — the generators' exact guard (valid + qualifying + longer
-// than the incumbent). kernel.Confidence is bit-identical to the batch
-// kernels the fresh sweeps use (kernel.h contract), so folding tests one
-// at a time across batches reproduces their single-pass folds.
-void FoldRelaxedTest(const ConfidenceKernel& kernel,
-                     const interval::GeneratorOptions& options, int64_t j,
-                     int64_t* best_j, double* best_conf) {
-  double conf;
-  if (kernel.Confidence(j, &conf) &&
-      interval::PassesRelaxedThreshold(conf, options) && j > *best_j) {
-    *best_j = j;
-    *best_conf = conf;
-  }
-}
-
-// Credit-fail zero-prefix probes strictly below `zae`, over the generators'
-// length list (interval::internal::ZeroPrefixLengths) for the current n;
-// duplicates cannot displace themselves under the j > best_j guard, exactly
-// as in the fresh sweep. The probed set is n-independent once zae is
-// settled: every consumed entry is an uncapped floor power < zae <= n, and
-// the list's final capped entry `n` maps to j = i + n - 1 >= zae, past the
-// break.
-void FoldZeroPrefix(const ConfidenceKernel& kernel,
-                    const interval::GeneratorOptions& options,
-                    const std::vector<int64_t>& lengths, int64_t i,
-                    int64_t zae, int64_t* best_j, double* best_conf) {
-  for (const int64_t len : lengths) {
-    const int64_t j = i + len - 1;
-    if (j >= zae) return;
-    FoldRelaxedTest(kernel, options, j, best_j, best_conf);
-  }
-}
-
 }  // namespace
 
 util::Result<IncrementalDiscoverer> IncrementalDiscoverer::Create(
@@ -98,7 +64,7 @@ util::Result<IncrementalDiscoverer> IncrementalDiscoverer::Create(
   }
   IncrementalDiscoverer discoverer(initial, request);
   // The initial series is the first batch: every anchor is new.
-  discoverer.ProcessBatch(series::CumulativeSeries::AppendResult{0, 1, false});
+  discoverer.ProcessBatch(series::CumulativeSeries::AppendResult{0, 1});
   return discoverer;
 }
 
@@ -113,8 +79,6 @@ IncrementalDiscoverer::IncrementalDiscoverer(
   // Create rejects stop_on_full_cover.
   gen_options_.num_threads = 1;
   gen_options_.stop_on_full_cover = false;
-  credit_fail_ = request.type == core::TableauType::kFail &&
-                 request.model == core::ConfidenceModel::kCredit;
   fail_type_ = request.type == core::TableauType::kFail;
   tableau_.type = request.type;
   tableau_.model = request.model;
@@ -205,7 +169,6 @@ void IncrementalDiscoverer::ProcessBatch(
 void IncrementalDiscoverer::ResetAllAnchorStates() {
   std::fill(ab_.begin(), ab_.end(), AbState{});
   std::fill(abopt_.begin(), abopt_.end(), AbOptState{});
-  std::fill(exh_.begin(), exh_.end(), ExhState{});
 }
 
 void IncrementalDiscoverer::GrowStateArrays(int64_t n) {
@@ -217,154 +180,89 @@ void IncrementalDiscoverer::GrowStateArrays(int64_t n) {
     case interval::AlgorithmKind::kAreaBasedOpt:
       abopt_.resize(size);
       break;
-    case interval::AlgorithmKind::kExhaustive:
-      exh_.resize(size);
-      break;
     default:
-      break;  // NAB keeps no per-anchor resume state
+      break;  // exhaustive and NAB resume from the candidate store
   }
   cand_other_.resize(size, 0);
   cand_conf_.resize(size, 0.0);
 }
 
 // ---------------------------------------------------------------------------
-// Area-based (AB): per-anchor level ladder with a resumable frontier.
-//
-// Follows the generator's per-anchor level sweep (area_based.cc) level for
-// level, on the same ladder, first-level skip and endpoint search
-// (interval::internal::AbThresholds / AbFirstLevel,
-// ConfidenceKernel::LargestEndpointWithin). A level's breakpoint t
-// (largest j in [i, n] with area <= T) SETTLES when t < n — the area is
-// nondecreasing in j, so area(t + 1) > T persists under every append — and
-// its confidence test folds into the persistent (best_j, best_conf) once.
-// A walk that stopped at t == n holds an O(1) frontier: while
-// area(i, n') <= T it stays stopped (the breakpoint rides the frontier and
-// is evaluated tentatively each batch), and the first batch where the area
-// crosses T settles the level by an endpoint search and resumes the ladder.
+// Area-based (AB): the generator's per-anchor level ladder (area_based.cc)
+// on its thresholds, first-level skip and endpoint search, kept on AB-opt's
+// rule. A level's breakpoint t (largest j in [i, n] with area <= T) SETTLES
+// when t < n: the area is nondecreasing in j, so area(t + 1) > T persists
+// under every append. A breakpoint at n PARKS the anchor on its level,
+// which the next batch re-runs first. The ladder fills AB-opt's breakpoint
+// list and folds it exactly as ProcessAreaBasedOpt does.
 // ---------------------------------------------------------------------------
 void IncrementalDiscoverer::ProcessAreaBased(
     const series::CumulativeSeries::AppendResult& delta, int64_t dirty_begin) {
   const int64_t n = series_->n();
-  const int64_t old_n = delta.old_n;
   const double growth = 1.0 + gen_options_.epsilon;
-  const double dlt = prev_delta_;
-
-  // The generator's threshold ladder, rebuilt per batch. Prefix-stable and
-  // size-nondecreasing across appends: Delta is fixed (a decrease forced a
-  // full rebuild upstream) and max_area only grows, so settled levels keep
-  // their thresholds.
+  // Rebuilt per batch. Prefix-stable and size-nondecreasing across
+  // appends: Delta is fixed (a decrease forced a full rebuild upstream) and
+  // max_area only grows, so settled levels keep their thresholds.
   const std::vector<double> thresholds = interval::internal::AbThresholds(
-      *series_, gen_options_.type, dlt, growth);
-  const size_t num_thresholds = thresholds.size();
-  const std::vector<int64_t> zero_prefix_lengths =
-      credit_fail_ ? interval::internal::ZeroPrefixLengths(n, growth)
-                   : std::vector<int64_t>{};
-  uint64_t probes = 0;  // the generator's endpoint_steps; unreported here
-
-  ConfidenceKernel kernel(*eval_, gen_options_.type);
+      *series_, gen_options_.type, prev_delta_, growth);
+  interval::internal::AbOptWalk walk(*eval_, gen_options_, prev_delta_,
+                                     &abopt_scratch_);
+  ConfidenceKernel& kernel = walk.kernel;
+  std::vector<int64_t>& breakpoints = abopt_scratch_.breakpoints;
   for (int64_t i = 1; i <= n; ++i) {
     AbState& st = ab_[static_cast<size_t>(i)];
-    if (i > old_n || i >= dirty_begin) st = AbState{};
-    kernel.BeginAnchor(i);
-
-    if (st.stage == AbState::kExhausted && st.level >= num_thresholds) {
-      // Ladder fully consumed and no new levels appeared: the candidate is
-      // exactly the settled fold. No version bump happens below.
+    if (i > delta.old_n || i >= dirty_begin) st = AbState{};
+    if (st.level >= thresholds.size()) {
+      // Every level settled and no new one appeared: the candidate is
+      // exactly the settled fold.
       UpdateCandidate(i, st.best_j, st.best_conf);
       continue;
     }
 
-    // For a clean anchor first_level is batch-invariant: area(i, i), Delta
-    // and growth do not move (credit/debit anchors whose SuffixMinGap
-    // changed were reset above).
+    kernel.BeginAnchor(i);
+    breakpoints.clear();
+    // Batch-invariant for a clean anchor: area(i, i), Delta and growth do
+    // not move (credit/debit anchors whose SuffixMinGap changed were reset
+    // above).
     const size_t first_level = interval::internal::AbFirstLevel(
-        kernel.SparseArea(i), dlt, growth, fail_type_);
-
-    size_t level;
-    bool stopped = false;
-    bool tent_at_n = false;  // frontier breakpoint at n, evaluated per batch
-    bool tent_zp = false;    // zae would settle at n: tentative zero prefix
-    if (st.stage == AbState::kFresh) {
-      level = fail_type_ ? 0 : first_level;
-    } else if (st.stage == AbState::kStopped) {
-      const double threshold = thresholds[st.level];
-      if (kernel.SparseArea(n) <= threshold) {
-        // Still stopped: the breakpoint extended to the new n.
-        stopped = true;
-        tent_at_n = true;
-        tent_zp = threshold == 0.0 && !st.zae_settled;
-      } else {
-        level = st.level;  // the stopped level settles in the loop below
-      }
-    } else {
-      level = st.level;  // kExhausted: only the newly appeared levels run
-    }
-
-    if (!stopped) {
-      while (level < num_thresholds) {
-        const double threshold = thresholds[level];
-        int64_t t;
-        bool exists;
-        if (kernel.SparseArea(n) <= threshold) {
-          // Frontier shortcut: the fresh search would return n with a
-          // within-threshold area. Value-identical to the walk's
-          // breakpoint, found in O(1) instead of O(log n).
-          t = n;
-          exists = true;
-        } else {
-          // The generator's first-touch search: t == i with exists == false
-          // when even [i, i] exceeds T.
-          t = std::max(i, kernel.LargestEndpointWithin(i, n, 1, threshold,
-                                                       &probes));
-          exists = kernel.SparseArea(t) <= threshold;
+        kernel.SparseArea(i), prev_delta_, growth, fail_type_);
+    size_t level = std::max<size_t>(st.level, fail_type_ ? 0 : first_level);
+    size_t tentative = 0;
+    while (level < thresholds.size()) {
+      const double threshold = thresholds[level];
+      // area(n) <= T answers the search in one probe; otherwise t == i
+      // with area(i, i) > T means the level has no breakpoint.
+      const int64_t t =
+          kernel.SparseArea(n) <= threshold
+              ? n
+              : std::max(i, kernel.LargestEndpointWithin(i, n, 1, threshold,
+                                                         &walk.probes));
+      if (kernel.SparseArea(t) <= threshold) {
+        const size_t first = breakpoints.size();
+        if (threshold == 0.0) {
+          // Credit-fail zero-prefix probes (empty list otherwise).
+          for (const int64_t len : walk.zero_prefix_lengths) {
+            const int64_t j = i + len - 1;
+            if (j >= t) break;
+            breakpoints.push_back(j);
+          }
         }
-        if (exists && t == n) {
-          st.stage = AbState::kStopped;
-          st.level = static_cast<uint32_t>(level);
-          stopped = true;
-          tent_at_n = true;
-          tent_zp = threshold == 0.0 && !st.zae_settled;
+        breakpoints.push_back(t);
+        if (t == n) {  // park on this level
+          tentative = first;
           break;
         }
-        if (exists) {
-          if (threshold == 0.0 && !st.zae_settled) {
-            // Zero level settled below n: area(t + 1) > 0 persists, so the
-            // zero-area end and its prefix probes are final.
-            st.zae = t;
-            st.zae_settled = true;
-            if (credit_fail_ && st.zae > i) {
-              FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i,
-                             st.zae, &st.best_j, &st.best_conf);
-            }
-          }
-          FoldRelaxedTest(kernel, gen_options_, t, &st.best_j, &st.best_conf);
-        } else if (threshold == 0.0 && !st.zae_settled) {
-          // area(i, i) > 0 persists: no zero-area prefix, ever.
-          st.zae = 0;
-          st.zae_settled = true;
-        }
-        ++level;
-        if (level == 1 && first_level > 1) level = first_level;
       }
-      if (!stopped) {
-        st.stage = AbState::kExhausted;
-        st.level = static_cast<uint32_t>(level);
-      }
+      ++level;
+      if (level == 1 && first_level > 1) level = first_level;  // after zero
     }
+    if (level >= thresholds.size()) tentative = breakpoints.size();
+    st.level = static_cast<uint32_t>(level);
 
-    // Candidate = settled fold + this batch's tentative frontier tests.
-    // Tentative results never enter st: they are recomputed (at the moved
-    // frontier) next batch. The fold is argmax-j over qualifying tests, so
-    // combining order does not matter.
+    walk.FoldLongestQualifying(0, tentative, &st.best_j, &st.best_conf);
     int64_t cj = st.best_j;
     double cc = st.best_conf;
-    if (tent_zp && n > i) {
-      FoldZeroPrefix(kernel, gen_options_, zero_prefix_lengths, i, /*zae=*/n,
-                     &cj, &cc);
-    }
-    if (tent_at_n) {
-      FoldRelaxedTest(kernel, gen_options_, n, &cj, &cc);
-    }
+    walk.FoldLongestQualifying(tentative, breakpoints.size(), &cj, &cc);
     UpdateCandidate(i, cj, cc);
   }
 }
@@ -395,11 +293,12 @@ void IncrementalDiscoverer::ProcessAreaBasedOpt(
 }
 
 // ---------------------------------------------------------------------------
-// Exhaustive: every confidence test settles the batch it runs in, so old
-// clean anchors scan only the appended suffix (old_n, n]. The generator's
-// scan (interval::internal::ScanLastQualifying) finds the largest
-// qualifying j regardless of block boundaries, so resuming it at old_n + 1
-// with re-based blocks folds identically.
+// Exhaustive: every confidence test settles the batch it runs in, so an old
+// clean anchor's fold is its stored candidate and it scans only the
+// appended suffix (old_n, n]. The generator's scan
+// (interval::internal::ScanLastQualifying) finds the largest qualifying j
+// regardless of block boundaries, so resuming it at old_n + 1 with re-based
+// blocks folds identically.
 // ---------------------------------------------------------------------------
 void IncrementalDiscoverer::ProcessExhaustive(
     const series::CumulativeSeries::AppendResult& delta, int64_t dirty_begin) {
@@ -407,18 +306,18 @@ void IncrementalDiscoverer::ProcessExhaustive(
   const int64_t old_n = delta.old_n;
   ConfidenceKernel kernel(*eval_, gen_options_.type);
   for (int64_t i = 1; i <= n; ++i) {
-    ExhState& st = exh_[static_cast<size_t>(i)];
-    int64_t scan_from;
-    if (i > old_n || i >= dirty_begin) {
-      st = ExhState{};
-      scan_from = i;
-    } else {
+    int64_t best_j = 0;
+    double best_conf = 0.0;
+    int64_t scan_from = i;
+    if (i <= old_n && i < dirty_begin) {
+      best_j = cand_other_[static_cast<size_t>(i)];
+      best_conf = cand_conf_[static_cast<size_t>(i)];
       scan_from = old_n + 1;
     }
     kernel.BeginAnchor(i);
     interval::internal::ScanLastQualifying(kernel, gen_options_, scan_from, n,
-                                           &st.best_j, &st.best_conf);
-    UpdateCandidate(i, st.best_j, st.best_conf);
+                                           &best_j, &best_conf);
+    UpdateCandidate(i, best_j, best_conf);
   }
 }
 

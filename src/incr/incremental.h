@@ -16,7 +16,9 @@
 //     into a per-anchor (best_j, best_conf) pair once; a search that sits
 //     at n parks the anchor and is re-run each batch, one probe while it
 //     stays parked. AB-opt advances the generator's own walk
-//     (interval::internal::AbOptWalk); AB re-walks its level ladder here.
+//     (interval::internal::AbOptWalk); AB runs its level ladder here, from
+//     the parked or first unreached level, and folds through the same walk.
+//     Exhaustive tests settle at once, so its fold is the stored candidate.
 //   * NAB/NAB-opt candidates for old right anchors are exactly unchanged
 //     (their length schedule prefix and left-anchor probes are independent
 //     of n), so only the m new anchors walk at all.
@@ -110,20 +112,11 @@ class IncrementalDiscoverer {
   const IncrStats& stats() const { return stats_; }
 
  private:
-  // Per-anchor resume state for the area-based level walk. `level` is the
-  // stopped level (kStopped) or the next unprocessed one (kExhausted).
+  // Per-anchor resume state for the area-based level ladder: the level the
+  // anchor is parked on, or the first level it has not reached yet, and
+  // the fold of its settled breakpoints' confidence tests.
   struct AbState {
-    enum : uint8_t { kFresh = 0, kStopped = 1, kExhausted = 2 };
-    uint8_t stage = kFresh;
     uint32_t level = 0;
-    bool zae_settled = false;
-    int64_t zae = 0;  // settled zero-area end (credit-fail zero prefix)
-    int64_t best_j = 0;
-    double best_conf = 0.0;
-  };
-
-  // Exhaustive: every test settles the batch it runs in.
-  struct ExhState {
     int64_t best_j = 0;
     double best_conf = 0.0;
   };
@@ -165,17 +158,16 @@ class IncrementalDiscoverer {
   std::unique_ptr<core::ConfidenceEvaluator> eval_;
 
   double prev_delta_ = 0.0;
-  bool credit_fail_ = false;
   bool fail_type_ = false;
 
   // 1-based per-anchor state (index 0 unused); only the request's
-  // algorithm's vector is populated.
+  // algorithm's vector is populated. Exhaustive and NAB keep none: their
+  // resume state is the candidate store.
   std::vector<AbState> ab_;
   std::vector<interval::internal::AbOptState> abopt_;
-  // Kept across batches: scratch allocated per batch slowed serving's
-  // apply (perfbench serve_fresh).
+  // The breakpoint list AB and AB-opt fold. Kept across batches: scratch
+  // allocated per batch slowed serving's apply (perfbench serve_fresh).
   interval::internal::AbOptScratch abopt_scratch_;
-  std::vector<ExhState> exh_;
 
   // 1-based per-anchor candidate store. For left-anchored algorithms the
   // anchor is the interval begin and cand_other_ its end; for NAB the

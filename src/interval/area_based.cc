@@ -73,13 +73,12 @@ std::vector<Candidate> AreaBasedGenerator::GenerateCandidates(
   const std::vector<double> thresholds =
       internal::AbThresholds(eval.series(), type, delta, growth);
 
-  // Credit-model fail tableaux need extra care beyond the paper's zero
-  // level: within the prefix where the balance numerator area is 0, the
-  // credit confidence (len * S_i) / area_B is not 0 and not monotone, so the
-  // single zero-level breakpoint may overshoot past every qualifying j.
-  // Testing length-geometric endpoints inside that prefix restores the
-  // guarantee: len' <= (1+eps) len* and area_B(i,j') >= area_B(i,j*) give
-  // conf_c(i,j') <= (1+eps) conf_c(i,j*).
+  // Credit-model fail tableaux also test length-geometric endpoints inside
+  // the prefix where the balance numerator area is 0. There the credit
+  // confidence len * S_i / sum_l (B_l - A_{i-1}) is nonzero but, B being
+  // nondecreasing, nonincreasing in j: the zero-level breakpoint qualifies
+  // whenever a shorter probe does, up to rounding, so the probes never
+  // change the candidate. They only add tests (intervals_tested).
   const bool credit_fail =
       fail_type && eval.model() == core::ConfidenceModel::kCredit;
   const std::vector<int64_t> zero_prefix_lengths =

@@ -19,7 +19,7 @@ AbOptWalk::AbOptWalk(const core::ConfidenceEvaluator& eval,
       growth(1.0 + options.epsilon),
       // See AreaBasedGenerator: credit-model fail tableaux additionally
       // probe length-geometric endpoints inside the zero-area prefix, where
-      // the credit confidence is nonzero and non-monotone.
+      // the credit confidence is nonzero and nonincreasing in j.
       zero_prefix_lengths(options.type == core::TableauType::kFail &&
                                   eval.model() == core::ConfidenceModel::kCredit
                               ? ZeroPrefixLengths(n, growth)

@@ -43,7 +43,6 @@
 
 #include "interval/generator.h"
 #include "interval/interval.h"
-#include "obs/labels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
@@ -64,18 +63,10 @@ struct GenerationMetrics {
   obs::Counter& endpoint_steps;
   obs::Counter& batches;
   obs::Histogram& chunk_seconds;
-  // Attribution of generation.chunks_claimed by how the chunk was won:
-  // "fair" = within the worker's static fair share, "stolen" = claimed
-  // beyond it off a slower worker (== generation.steals). Children of the
-  // labeled family "generation.chunks"; batch-published per run like the
-  // flat counters above.
-  obs::Counter& chunks_fair;
-  obs::Counter& chunks_stolen;
 
   static GenerationMetrics& Get() {
     static GenerationMetrics* metrics = [] {
       obs::Registry& registry = obs::Registry::Global();
-      obs::CounterFamily& chunks = obs::LabeledCounter("generation.chunks");
       return new GenerationMetrics{
           registry.Counter("generation.chunks_claimed"),
           registry.Counter("generation.steals"),
@@ -84,9 +75,7 @@ struct GenerationMetrics {
           registry.Counter("kernel.endpoint_steps"),
           registry.Counter("kernel.batches"),
           registry.Histogram("generation.chunk_seconds",
-                             {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0}),
-          chunks.With({{"kind", "fair"}}),
-          chunks.With({{"kind", "stolen"}})};
+                             {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0})};
     }();
     return *metrics;
   }
@@ -161,7 +150,6 @@ auto RunSharded(int64_t n, const GeneratorOptions& options,
     merged.shard_work[0] =
         ShardWork{merged.seconds, /*chunks_claimed=*/1, /*steals=*/0};
     metrics.chunks_claimed.Increment();
-    metrics.chunks_fair.Increment();
     metrics.chunk_seconds.Record(merged.seconds);
   } else {
     const int64_t requested = ResolveNumChunks(n, workers);
@@ -257,8 +245,6 @@ auto RunSharded(int64_t n, const GeneratorOptions& options,
       merged.seconds += work.seconds;
       metrics.chunks_claimed.Add(work.chunks_claimed);
       metrics.steals.Add(work.steals);
-      metrics.chunks_fair.Add(work.chunks_claimed - work.steals);
-      metrics.chunks_stolen.Add(work.steals);
     }
   }
 

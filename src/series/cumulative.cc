@@ -47,7 +47,6 @@ CumulativeSeries::AppendResult CumulativeSeries::Append(const double* a,
   CR_CHECK(m >= 0);
   AppendResult result;
   result.old_n = n_;
-  const double old_delta = delta_;
   const int64_t new_n = n_ + m;
   const size_t new_size = static_cast<size_t>(new_n) + 1;
   A_.resize(new_size);
@@ -91,7 +90,6 @@ CumulativeSeries::AppendResult CumulativeSeries::Append(const double* a,
   suffix_min_gap_[0] = suffix_min_gap_[std::min<size_t>(1, new_size - 1)];
 
   n_ = new_n;
-  result.delta_decreased = delta_ < old_delta;
   return result;
 }
 

@@ -39,10 +39,6 @@ class CumulativeSeries {
     // suffix of the old gaps, so [first_changed_s, old_n] is exactly the
     // dirty anchor range for the credit/debit models.
     int64_t first_changed_s = 0;
-    // True when a new tick introduced a smaller positive count, lowering
-    // delta(). The area-based algorithms' threshold ladders depend on
-    // delta, so incremental maintenance must rebuild when this fires.
-    bool delta_decreased = false;
   };
 
   // Appends m ticks (a[k], b[k] for k in [0, m)) in place, extending every

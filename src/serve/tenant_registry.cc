@@ -1,7 +1,9 @@
 #include "serve/tenant_registry.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -127,7 +129,11 @@ bool TenantRegistry::FaultUp(Tenant& tenant, const std::vector<double>& a,
   if (!counts.ok()) return false;  // all-zero prefix; stay sessionless
   stream::StreamOptions stream = config_.stream;
   if (config_.label_tenants) {
-    stream.tenant = "t" + std::to_string(tenant.id);
+    // Formatted in place: GCC 12 raises a false -Wrestrict on
+    // "t" + std::to_string(id) and on appending to a short string.
+    char label[24] = {'t'};
+    stream.tenant = std::string(
+        label, std::to_chars(label + 1, std::end(label), tenant.id).ptr);
   }
   auto session =
       incr::StreamSession::Create(counts.value(), config_.request, stream);

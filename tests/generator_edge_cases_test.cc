@@ -142,9 +142,10 @@ TEST(GeneratorEdgeCases, LongZeroPlateausDoNotBreakFailGeneration) {
 
 TEST(GeneratorEdgeCases, CreditFailZeroAreaPrefixIsCovered) {
   // Regression test for the credit-model fail special case: within the
-  // zero-balance-area prefix the credit confidence is neither zero nor
-  // monotone, and the paper's plain breakpoints can overshoot. Construct a
-  // flat-A prefix with a growing gap so intermediate lengths qualify.
+  // zero-balance-area prefix the credit confidence is nonzero (it falls as
+  // j grows, since B is nondecreasing), so the zero level must not be read
+  // as confidence 0. Construct a flat-A prefix with a growing gap so
+  // intermediate lengths qualify.
   std::vector<double> a = {1, 0, 0, 0, 0, 0, 0, 0, 0, 9};
   std::vector<double> b = {2, 3, 1, 4, 2, 3, 1, 2, 3, 1};
   auto counts = CountSequence::Create(a, b);

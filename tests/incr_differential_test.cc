@@ -264,7 +264,8 @@ TEST(IncrementalDiscoverer, CreditGapDropDirtiesAnchorsAndStaysIdentical) {
 // breakpoint. The gap never falls below an old tail anchor's suffix
 // minimum, so no credit/debit anchor is re-walked from scratch.
 // Credit-model fail tableaux park these anchors on the zero search
-// instead; the hold runs replay the same batches.
+// instead; the hold runs replay the same batches. AB replays them too: its
+// ladder parks the same anchors on its zero and Delta levels.
 TEST(IncrementalDiscoverer, AbOptInitParkedAnchorsResumeAcrossBatches) {
   constexpr int64_t kBatch = 16;
   constexpr int64_t kTail = 4;  // ticks with a = 0 after the drain
@@ -294,22 +295,26 @@ TEST(IncrementalDiscoverer, AbOptInitParkedAnchorsResumeAcrossBatches) {
   auto counts = series::CountSequence::Create(a, b);
   ASSERT_TRUE(counts.ok());
 
-  for (const ConfidenceModel model :
-       {ConfidenceModel::kBalance, ConfidenceModel::kCredit,
-        ConfidenceModel::kDebit}) {
-    for (const TableauType type : {TableauType::kHold, TableauType::kFail}) {
-      TableauRequest request;
-      request.algorithm = AlgorithmKind::kAreaBasedOpt;
-      request.model = model;
-      request.type = type;
-      request.c_hat = type == TableauType::kHold ? 0.9 : 0.2;
-      request.s_hat = 0.4;
-      request.epsilon = 0.05;
-      RunReplay(counts.value(), request, kBatch, kBatch,
-                std::string(" [init-park model=") +
-                    core::ConfidenceModelName(model) +
-                    " type=" + core::TableauTypeName(type) + "]");
-      if (::testing::Test::HasFailure()) return;
+  for (const AlgorithmKind algorithm :
+       {AlgorithmKind::kAreaBasedOpt, AlgorithmKind::kAreaBased}) {
+    for (const ConfidenceModel model :
+         {ConfidenceModel::kBalance, ConfidenceModel::kCredit,
+          ConfidenceModel::kDebit}) {
+      for (const TableauType type : {TableauType::kHold, TableauType::kFail}) {
+        TableauRequest request;
+        request.algorithm = algorithm;
+        request.model = model;
+        request.type = type;
+        request.c_hat = type == TableauType::kHold ? 0.9 : 0.2;
+        request.s_hat = 0.4;
+        request.epsilon = 0.05;
+        RunReplay(counts.value(), request, kBatch, kBatch,
+                  std::string(" [init-park algorithm=") +
+                      interval::AlgorithmKindName(algorithm) +
+                      " model=" + core::ConfidenceModelName(model) +
+                      " type=" + core::TableauTypeName(type) + "]");
+        if (::testing::Test::HasFailure()) return;
+      }
     }
   }
 }

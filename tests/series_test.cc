@@ -280,13 +280,14 @@ TEST(CumulativeSeriesAppendTest, DeltaDecreasedOnlyForSmallerPositiveCount) {
   const double zeros[] = {0, 0};
   const double larger[] = {3, 8};
   const double smaller[] = {0.5, 0};
-  EXPECT_FALSE(series.Append(zeros, zeros, 2).delta_decreased);
-  EXPECT_FALSE(series.Append(larger, larger, 2).delta_decreased);
+  series.Append(zeros, zeros, 2);
+  series.Append(larger, larger, 2);
   EXPECT_EQ(series.delta(), 2.0);
-  EXPECT_TRUE(series.Append(smaller, larger, 2).delta_decreased);
+  series.Append(smaller, larger, 2);
   EXPECT_EQ(series.delta(), 0.5);
   // Equal to the current delta is not a decrease.
-  EXPECT_FALSE(series.Append(smaller, larger, 1).delta_decreased);
+  series.Append(smaller, larger, 1);
+  EXPECT_EQ(series.delta(), 0.5);
 }
 
 TEST(CumulativeSeriesAppendTest, EmptyAppendChangesNothing) {
@@ -296,7 +297,6 @@ TEST(CumulativeSeriesAppendTest, EmptyAppendChangesNothing) {
       series.Append(all.a.data(), all.b.data(), 0);
   EXPECT_EQ(result.old_n, 50);
   EXPECT_EQ(result.first_changed_s, 51);
-  EXPECT_FALSE(result.delta_decreased);
   ExpectBitwiseEqual(series, BuildFrom(all.a, all.b));
 }
 
